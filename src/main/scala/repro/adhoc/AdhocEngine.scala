@@ -80,8 +80,8 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
         expose = offset.leConst(math.max(0L, (d - minDate + 1).toLong))
         m <- metricIds
       } yield {
-        val value = metricBsi.getOrDefault((seg, m, d), BSI.empty)
-        Cell(st, m, d, value.filteredSum(expose), expose.getLongCardinality)
+        val (sum, cnt) = metricBsi.getOrDefault((seg, m, d), BSI.empty).exposedSum(expose)
+        Cell(st, m, d, sum, cnt)
       }
     })
 

@@ -217,10 +217,9 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
 
   private def bitsNeeded(k: Long): Int = 64 - java.lang.Long.numberOfLeadingZeros(k)
 
-  /** Positions with value > k (k ≥ 0). Zero values never match (absent). */
+  /** Positions with value > k; zero (absent) never matches, so `k <= 0` selects all. */
   def gtConst(k: Long): RoaringBitmap = {
-    require(k >= 0, s"BSI values are non-negative; got $k")
-    if (k == 0) return existence.clone()
+    if (k <= 0) return existence.clone()
     val n  = math.max(numSlices, bitsNeeded(k))
     val eq = existence.clone()
     val gt = new RoaringBitmap()
@@ -236,8 +235,7 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
 
   /** Positions with 0 < value < k. */
   def ltConst(k: Long): RoaringBitmap = {
-    require(k >= 0, s"BSI values are non-negative; got $k")
-    if (k == 0) return new RoaringBitmap()
+    if (k <= 0) return new RoaringBitmap()
     val n  = math.max(numSlices, bitsNeeded(k))
     val eq = existence.clone()
     val lt = new RoaringBitmap()
@@ -256,12 +254,11 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
 
   /** Positions with 0 < value ≤ k. */
   def leConst(k: Long): RoaringBitmap =
-    if (k < 0) new RoaringBitmap() else ltConst(k + 1)
+    if (k == Long.MaxValue) existence.clone() else ltConst(k + 1)
 
   /** Positions with value = k ≠ 0. */
   def eqConst(k: Long): RoaringBitmap = {
-    require(k >= 0, s"BSI values are non-negative; got $k")
-    if (k == 0) return new RoaringBitmap() // zero = absent, never "equal"
+    if (k <= 0) return new RoaringBitmap() // zero = absent, never "equal"
     val n  = math.max(numSlices, bitsNeeded(k))
     val eq = existence.clone()
     var i  = n - 1
@@ -316,6 +313,9 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
     }
     s
   }
+
+  /** Scorecard cell (§4.2): (Σ values over the expose `mask`, |mask|), so exposed units without a value count. */
+  def exposedSum(mask: RoaringBitmap): (Long, Long) = (filteredSum(mask), mask.getLongCardinality)
 
   /** Smallest non-zero value; 0 when empty. */
   def minValue: Long = {

@@ -1,14 +1,15 @@
 package repro.bsi
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
+import java.io.{ByteArrayOutputStream, DataOutputStream}
+import java.nio.ByteBuffer
 import org.roaringbitmap.RoaringBitmap
 
 /** Serialization of a [[BSI]] to/from `Array[Byte]` — the on-wire format of the
   * encoded `BinaryType` columns that carry BSIs through DataFrames.
   *
-  * Layout: `int32 numSlices`, then for each slice the portable Roaring
-  * serialization (self-delimiting). `null`/empty arrays decode to `BSI.empty`
-  * so outer joins and absent groups need no special casing.
+  * Layout: `int32 numSlices` (big-endian), then for each slice the portable
+  * Roaring serialization (self-delimiting). `null`/empty arrays decode to
+  * `BSI.empty` so outer joins and absent groups need no special casing.
   */
 object BSICodec {
 
@@ -26,20 +27,26 @@ object BSICodec {
     bos.toByteArray
   }
 
-  /** Deserialize; `null` and zero-length input decode to `BSI.empty`. */
+  /** Deserialize; `null` and zero-length input decode to `BSI.empty`. Slices
+    * are read from a `ByteBuffer` over `bytes`; a negative slice count,
+    * truncated input or trailing bytes throw `IllegalArgumentException`.
+    */
   def deserialize(bytes: Array[Byte]): BSI = {
     if (bytes == null || bytes.isEmpty) return BSI.empty
-    val in = new DataInputStream(new ByteArrayInputStream(bytes))
-    val n  = in.readInt()
-    if (n == 0) return BSI.empty
-    val slices = new Array[RoaringBitmap](n)
-    var i = 0
-    while (i < n) {
+    require(bytes.length >= 4, s"BSI bytes truncated: ${bytes.length} bytes, no slice-count header")
+    val buf = ByteBuffer.wrap(bytes)
+    val n   = buf.getInt()
+    require(n >= 0, s"negative BSI slice count $n")
+    // a serialized slice takes at least 8 bytes (cookie + container count)
+    require(n <= buf.remaining / 8, s"BSI bytes truncated: $n slices cannot fit in ${buf.remaining} bytes")
+    val slices = Array.fill(n) {
       val bm = new RoaringBitmap()
-      bm.deserialize(in)
-      slices(i) = bm
-      i += 1
+      try bm.deserialize(buf.slice()) catch { case e @ (_: java.io.IOException | _: RuntimeException) =>
+        throw new IllegalArgumentException(s"BSI bytes truncated or corrupt in one of $n slices", e) }
+      buf.position(buf.position() + bm.serializedSizeInBytes)
+      bm
     }
+    require(!buf.hasRemaining, s"${buf.remaining} trailing bytes after the last of $n BSI slices")
     BSI.fromSlices(slices)
   }
 

@@ -21,6 +21,8 @@ import repro.bsi.{BSI, BSIAggregates, BSIBuilder, BSICodec}
   *   - `bsi_add(a, b)`, `bsi_mul(a, b)`  row-wise arithmetic (§2.3)
   *   - `bsi_cmp(a, op, b)`               row-wise comparison → binary BSI (Algorithms 1–3)
   *   - `bsi_cmp_const(a, op, k)`         comparison against a constant → binary BSI
+  *   - `bsi_exposed_sum(v, offset, op, k)` fused scorecard cell (§4.2): struct of
+  *                                       (Σ v over the mask `offset op k`, mask count)
   *   - `bsi_sum/bsi_count/bsi_avg/bsi_min_value/bsi_max_value/bsi_median/bsi_ntile`
   *                                       in-BSI aggregates → scalar (§4.1.3)
   *   - `bsi_get(a, pos)`                 point lookup (tests/debug)
@@ -107,6 +109,8 @@ object BsiUdfs {
       (a: Array[Byte], op: String, b: Array[Byte]) => se(BSI.fromBitmap(cmpBsi(de(a), op, de(b)))))
     spark.udf.register("bsi_cmp_const",
       (a: Array[Byte], op: String, k: Long) => se(BSI.fromBitmap(cmpConst(de(a), op, k))))
+    spark.udf.register("bsi_exposed_sum", (v: Array[Byte], offset: Array[Byte], op: String, k: Long) =>
+      de(v).exposedSum(cmpConst(de(offset), op, k)))
 
     spark.udf.register("bsi_sum", (a: Array[Byte]) => de(a).sumValues)
     spark.udf.register("bsi_count", (a: Array[Byte]) => de(a).count)

@@ -56,15 +56,11 @@ object PreExperiment {
     * or after the last expose day), so the filter is the offset existence.
     */
   def bucketValuesSimple(exposeBsi: DataFrame, preSum: DataFrame): DataFrame =
-    exposeBsi
-      .join(preSum, "segment_id")
-      .withColumn("expose", expr("bsi_cmp_const(offset_bsi, '>=', 1)")) // all exposed units
-      .withColumn("filtered_value", expr("bsi_mul(value_bsi, expose)"))
-      .select(
-        col("strategy_id"), col("metric_id"),
-        col("segment_id").as("bucket_id"),
-        expr("bsi_sum(filtered_value)").as("bucket_sum"),
-        expr("bsi_count(expose)").as("exposed_cnt"))
+    preSum
+      .join(broadcast(exposeBsi), "segment_id")
+      .withColumn("cell", expr("bsi_exposed_sum(value_bsi, offset_bsi, '>=', 1)")) // all exposed units
+      .select(col("strategy_id"), col("metric_id"), col("segment_id").as("bucket_id"),
+              col("cell._1").as("bucket_sum"), col("cell._2").as("exposed_cnt"))
 
   /** Collect a bucket-values DataFrame (strategy, metric, bucket, sum, cnt)
     * into [[Stats.BucketedMetric]]s keyed by (strategy, metric).

@@ -8,7 +8,7 @@ import org.apache.spark.sql.functions._
   * For each (strategy, metric, date) the pipeline mirrors the paper's SQL:
   * the expose filter is a constant comparison on the `offset` BSI
   * (`expose-date <= date  ⇔  offset <= date - min_expose_date + 1`), the
-  * filtered value is `value * expose` (multiplication by a binary BSI), and
+  * filtered sum is the value summed over that mask (`value * expose`), and
   * per-bucket sums/counts feed the statistical inference.
   *
   * Output grain: `(strategy_id, metric_id, date, bucket_id, bucket_sum,
@@ -20,41 +20,37 @@ object Scorecard {
 
   /** The common case where segmentation and bucketing coincide (§4.2's demo):
     * the segment id *is* the bucket id, so each joined (strategy, metric,
-    * date, segment) row yields exactly one bucket row with an in-BSI sum.
+    * date, segment) row yields exactly one bucket row, scored by the fused
+    * `bsi_exposed_sum` cell.
     */
   def bucketValuesSimple(exposeBsi: DataFrame, metricBsi: DataFrame,
-                         dates: Seq[Int]): DataFrame = {
-    val dDf = datesDf(exposeBsi.sparkSession, dates)
-    exposeBsi
-      .join(metricBsi, "segment_id")
-      .join(dDf, col("date") === col("d"))
-      .withColumn("expose",
-        expr("bsi_cmp_const(offset_bsi, '<=', cast(d - min_expose_date + 1 as bigint))"))
-      .withColumn("filtered_value", expr("bsi_mul(value_bsi, expose)"))
-      .select(
-        col("strategy_id"), col("metric_id"), col("date"),
-        col("segment_id").as("bucket_id"),
-        expr("bsi_sum(filtered_value)").as("bucket_sum"),
-        expr("bsi_count(expose)").as("exposed_cnt"))
-  }
+                         dates: Seq[Int]): DataFrame =
+    joinExpose(exposeBsi, metricBsi, dates)
+      .withColumn("cell",
+        expr("bsi_exposed_sum(value_bsi, offset_bsi, '<=', cast(date - min_expose_date + 1 as bigint))"))
+      .select(col("strategy_id"), col("metric_id"), col("date"), col("segment_id").as("bucket_id"),
+              col("cell._1").as("bucket_sum"), col("cell._2").as("exposed_cnt"))
 
   /** The general case (§4.2, segment ≠ bucket): per-segment per-bucket partial
     * sums via the bucket BSI, then merged across segments.
     */
   def bucketValuesBucketed(exposeBsi: DataFrame, metricBsi: DataFrame,
-                           dates: Seq[Int], nBuckets: Int): DataFrame = {
-    val dDf = datesDf(exposeBsi.sparkSession, dates)
-    exposeBsi
-      .join(metricBsi, "segment_id")
-      .join(dDf, col("date") === col("d"))
+                           dates: Seq[Int], nBuckets: Int): DataFrame =
+    joinExpose(exposeBsi, metricBsi, dates)
       .withColumn("expose",
-        expr("bsi_cmp_const(offset_bsi, '<=', cast(d - min_expose_date + 1 as bigint))"))
+        expr("bsi_cmp_const(offset_bsi, '<=', cast(date - min_expose_date + 1 as bigint))"))
       .withColumn("filtered_value", expr("bsi_mul(value_bsi, expose)"))
       .withColumn("bs",
         expr(s"explode(bsi_bucket_stats(filtered_value, expose, bucket_bsi, $nBuckets))"))
       .groupBy(col("strategy_id"), col("metric_id"), col("date"), col("bs._1").as("bucket_id"))
       .agg(sum(col("bs._2")).as("bucket_sum"), sum(col("bs._3")).as("exposed_cnt"))
-  }
+
+  /** Metric BSIs of `dates` joined to their segment's expose BSIs. The expose
+    * side (one row per segment × strategy) is broadcast, so the UDFs run in the
+    * metric side's (segment × metric × date) partitions with no shuffle.
+    */
+  private def joinExpose(exposeBsi: DataFrame, metricBsi: DataFrame, dates: Seq[Int]): DataFrame =
+    metricBsi.where(col("date").isin(dates: _*)).join(broadcast(exposeBsi), "segment_id")
 
   /** Roll bucket rows up to one scorecard row per (strategy, metric, date):
     * the metric value `Σ sum / Σ cnt` plus the bucket-replicate moments the
@@ -68,9 +64,4 @@ object Scorecard {
         sum(col("exposed_cnt")).as("total_cnt"),
         count(lit(1)).as("n_buckets"))
       .withColumn("metric_value", col("total_sum") / col("total_cnt"))
-
-  private def datesDf(spark: org.apache.spark.sql.SparkSession, dates: Seq[Int]): DataFrame = {
-    import spark.implicits._
-    dates.toDF("d")
-  }
 }

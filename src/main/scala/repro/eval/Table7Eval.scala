@@ -41,11 +41,12 @@ object Table7Eval {
     val metricBsi = BsiConvert.metricLogToBsi(metric, dict).cache()
     exposeBsi.count(); metricBsi.count()
 
+    // collect(), not count(): under count() column pruning drops the BSI UDFs
     val (normalRows, normalCpu) = Measure.sparkCpuSeconds(spark) {
-      ScorecardBaseline.bucketValues(expose, metric, Seq(date)).count()
+      ScorecardBaseline.bucketValues(expose, metric, Seq(date)).collect().length.toLong
     }
     val (bsiRows, bsiCpu) = Measure.sparkCpuSeconds(spark) {
-      Scorecard.bucketValuesSimple(exposeBsi, metricBsi, Seq(date)).count()
+      Scorecard.bucketValuesSimple(exposeBsi, metricBsi, Seq(date)).collect().length.toLong
     }
 
     Seq(dict, expose, metric, exposeBsi, metricBsi).foreach(_.unpersist())

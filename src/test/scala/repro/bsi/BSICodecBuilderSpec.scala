@@ -1,5 +1,7 @@
 package repro.bsi
 
+import java.io.{ByteArrayInputStream, DataInputStream}
+import org.roaringbitmap.RoaringBitmap
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Serialization round-trips and builder semantics. */
@@ -15,14 +17,45 @@ class BSICodecBuilderSpec extends AnyFunSuite {
     assert(BSICodec.deserialize(Array.empty[Byte]) == BSI.empty)
   }
 
+  /** Independent decode of the wire format through Roaring's stream reader. */
+  private def streamDecode(bytes: Array[Byte]): Seq[RoaringBitmap] = {
+    val in = new DataInputStream(new ByteArrayInputStream(bytes))
+    Seq.fill(in.readInt()) { val bm = new RoaringBitmap(); bm.deserialize(in); bm }
+  }
+
   for (seed <- 0 until 5) {
     test(s"codec round-trips random BSIs (seed $seed)") {
       val r = random(seed * 17, 300 + seed * 100, 10000, 1L << (8 + seed * 8))
       val b = toBsi(r)
-      val back = BSICodec.deserialize(BSICodec.serialize(b))
+      val bytes = BSICodec.serialize(b)
+      val back = BSICodec.deserialize(bytes)
       assert(back == b)
       assert(bsiToRef(back) == r)
+      assert((0 until back.numSlices).map(back.slice) == streamDecode(bytes))
+      assert(BSICodec.serialize(back).sameElements(bytes)) // wire format unchanged
     }
+  }
+
+  private def decodeError(bytes: Array[Byte]): String =
+    intercept[IllegalArgumentException](BSICodec.deserialize(bytes)).getMessage
+
+  test("codec rejects a negative slice count") {
+    assert(decodeError(Array[Byte](-1, -1, -1, -2)).contains("negative BSI slice count -2"))
+  }
+
+  test("codec rejects truncated input") {
+    val bytes = BSICodec.serialize(toBsi(random(5, 2000, 100000, 1L << 20)))
+    assert(decodeError(bytes.take(3)).contains("no slice-count header"))
+    // a count with no room for its slices, a cut at a slice boundary and cuts inside slices
+    val firstSliceEnd = 4 + BSICodec.deserialize(bytes).slice(0).serializedSizeInBytes
+    for (cut <- Seq(5, firstSliceEnd, bytes.length / 2, bytes.length - 1))
+      assert(decodeError(bytes.take(cut)).contains("truncated"), s"cut at $cut of ${bytes.length}")
+  }
+
+  test("codec rejects trailing bytes after the last slice") {
+    val bytes = BSICodec.serialize(toBsi(random(6, 300, 10000, 1000L)))
+    assert(decodeError(bytes ++ Array[Byte](0, 0)).contains("2 trailing bytes"))
+    assert(decodeError(Array[Byte](0, 0, 0, 0, 7)).contains("1 trailing bytes"))
   }
 
   test("codec round-trips a binary bitmap") {

@@ -1,5 +1,6 @@
 package repro.bsi
 
+import org.roaringbitmap.RoaringBitmap
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -64,6 +65,34 @@ class BSIPropertySpec extends AnyFunSuite {
         bitmapToSet(b.eqConst(k)) == compareConst(x, k, _ == _) &&
         bitmapToSet(b.neqConst(k)) == compareConst(x, k, _ != _)
     })
+  }
+
+  private val constOps: Seq[((BSI, Long) => RoaringBitmap, (Long, Long) => Boolean)] = Seq(
+    (_.ltConst(_), _ < _), (_.leConst(_), _ <= _), (_.gtConst(_), _ > _),
+    (_.geConst(_), _ >= _), (_.eqConst(_), _ == _), (_.neqConst(_), _ != _))
+
+  /** The scorecard cell under each comparison op equals the reference sum of
+    * `value` over exposed positions and the exposed count.
+    */
+  private def cellMatches(value: Ref, offset: Ref, k: Long): Boolean =
+    constOps.forall { case (mask, cmp) =>
+      val exposed = compareConst(offset, k, cmp)
+      toBsi(value).exposedSum(mask(toBsi(offset), k)) ==
+        ((exposed.iterator.map(value.getOrElse(_, 0L)).sum, exposed.size.toLong))
+    }
+
+  test("property: exposedSum matches reference for every comparison op") {
+    // offsets 1..maxOffset over the value universe, as an expose BSI holds them
+    val genOffset = for {
+      n <- Gen.choose(0, 300); mx <- Gen.oneOf(1L, 7L, 30L); seed <- Gen.choose(0L, 1L << 40)
+    } yield random(seed, n, 5000, mx)
+    val genK = Gen.oneOf(Gen.choose(-3L, 0L), Gen.choose(1L, 31L), Gen.choose(32L, 1L << 26))
+    check(Prop.forAll(genRef, genOffset, genK)(cellMatches))
+    val (value, offset) = (random(11, 300, 5000, 1000L), random(12, 300, 5000, 7L))
+    for ((v, o, k) <- Seq((Map.empty[Int, Long], offset, 3L), (value, Map.empty[Int, Long], 3L),
+                          (value, offset, 0L), (value, offset, -2L), (value, offset, offset.values.max + 1),
+                          (value, offset, Long.MaxValue), (value, offset, Long.MinValue)))
+      assert(cellMatches(v, o, k), s"value size ${v.size}, offset size ${o.size}, k $k")
   }
 
   test("property: sumValues/count/min/max/median agree with the decoded column") {

@@ -115,6 +115,26 @@ class BsiUdfsSpec extends SparkSpec {
     assert(row.getLong(7) == r(r.keySet.head))
   }
 
+  test("bsi_exposed_sum equals the bsi_cmp_const -> bsi_mul -> bsi_sum, bsi_count chain") {
+    _reg
+    import spark.implicits._
+    val rows = for (i <- 0 until 6; op <- Seq("<", "<=", ">", ">=", "=", "!=")) yield {
+      val value = if (i == 0) BSI.empty else toBsi(random(i + 70, 300, 2000, 1L << 12))
+      val offset = if (i == 1) BSI.empty else toBsi(random(i + 80, 250, 2000, 7L))
+      (BSICodec.serialize(value), BSICodec.serialize(offset), op, i - 2L)
+    }
+    val out = rows.toDF("v", "off", "op", "k")
+      .withColumn("expose", expr("bsi_cmp_const(off, op, k)"))
+      .select(expr("bsi_exposed_sum(v, off, op, k)").as("cell"),
+              expr("bsi_sum(bsi_mul(v, expose))").as("chain_sum"),
+              expr("bsi_count(expose)").as("chain_cnt"))
+      .select("cell._1", "cell._2", "chain_sum", "chain_cnt")
+      .collect()
+    assert(out.length == rows.size)
+    assert(out.exists(_.getLong(0) > 0))
+    out.foreach(r => assert((r.getLong(0), r.getLong(1)) == ((r.getLong(2), r.getLong(3))), r))
+  }
+
   test("bsi_bucket_stats splits filtered sums by bucket") {
     _reg
     import spark.implicits._

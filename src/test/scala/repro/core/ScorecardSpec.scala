@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
@@ -8,7 +11,7 @@ import repro.{Oracle, SparkSpec}
   * normal-format Spark SQL baseline and an independent DuckDB evaluation of
   * the same query over the normal logs.
   */
-class ScorecardSpec extends SparkSpec {
+class ScorecardSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val d = TestFixtures.data(spark)
   private val dates = Seq(3, 6) // day 3 is mid-rollout: the expose filter bites
@@ -47,6 +50,15 @@ class ScorecardSpec extends SparkSpec {
               col("date").cast("int"), col("bucket_id").cast("int"),
               col("bucket_sum").cast("long"), col("exposed_cnt").cast("long"))
     Oracle.assertEquivalent(bsi, oracleSql(dates), "expose" -> d.expose, "metric" -> d.metric)
+  }
+
+  test("simple scorecard broadcasts the expose side and never shuffles the metric side") {
+    assert(spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1")
+    val bv = Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, dates)
+    bv.collect()
+    val plan = bv.queryExecution.executedPlan
+    assert(collect(plan) { case j: BroadcastHashJoinExec => j }.size == 1, plan)
+    assert(collect(plan) { case s: ShuffleExchangeExec => s }.isEmpty, plan)
   }
 
   test("normal-format Spark SQL baseline matches the DuckDB oracle") {
