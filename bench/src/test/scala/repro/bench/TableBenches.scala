@@ -83,7 +83,7 @@ class Table8Bench extends SparkSpec {
   test("Table 8: ad-hoc latency on 105 metrics, 3 strategies, one week") {
     // ~100k users per segment keeps Roaring slices in bitmap containers —
     // the word-parallel regime the paper's ClickHouse nodes operate in
-    val r = Table8Eval.run(spark, nUsers = 800000L, nSegments = 8)
+    val r = Table8Eval.run(nUsers = 800000L, nSegments = 8)
     println("\n=== Table 8 ===")
     println(s"result cells: ${r.cells}")
     println(r.rendered)

@@ -70,12 +70,10 @@ object Table7Job {
 /** Table 8 — ad-hoc query latency, normal vs BSI. */
 object Table8Job {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("table8")
-    val r = repro.eval.Table8Eval.run(spark,
+    val r = repro.eval.Table8Eval.run(
       nUsers = JobSession.arg(args, 0, 100000L),
       nSegments = JobSession.arg(args, 1, 16L).toInt)
     println(r.rendered)
-    spark.stop()
   }
 }
 

@@ -49,7 +49,4 @@ object BSICodec {
     require(!buf.hasRemaining, s"${buf.remaining} trailing bytes after the last of $n BSI slices")
     BSI.fromSlices(slices)
   }
-
-  /** Serialize a bare binary bitmap as a one-slice BSI (filters, distinctPos). */
-  def serializeBitmap(bits: RoaringBitmap): Array[Byte] = serialize(BSI.fromBitmap(bits))
 }

@@ -46,14 +46,7 @@ object BsiUdfs {
   }
 
   /** Typed aggregator folding serialized BSIs with one of the §4.1.3 combines. */
-  final class CombineAgg(opName: String) extends Aggregator[Array[Byte], Acc, Array[Byte]] {
-    private def op(x: BSI, y: BSI): BSI = opName match {
-      case "sum"         => BSIAggregates.sumBSI(x, y)
-      case "mul"         => BSIAggregates.mulBSI(x, y)
-      case "max"         => BSIAggregates.maxBSI(x, y)
-      case "distinctPos" => BSIAggregates.distinctPos(x, y)
-      case other         => throw new IllegalArgumentException(s"unknown BSI combine: $other")
-    }
+  final class CombineAgg(op: (BSI, BSI) => BSI) extends Aggregator[Array[Byte], Acc, Array[Byte]] {
     def zero: Acc = new Acc(BSI.empty, seen = false)
     def reduce(a: Acc, in: Array[Byte]): Acc = {
       val b = BSICodec.deserialize(in)
@@ -94,10 +87,10 @@ object BsiUdfs {
     */
   def register(spark: SparkSession): Unit = {
     spark.udf.register("bsi_build", udaf(new BuildAgg))
-    spark.udf.register("bsi_sum_agg", udaf(new CombineAgg("sum")))
-    spark.udf.register("bsi_mul_agg", udaf(new CombineAgg("mul")))
-    spark.udf.register("bsi_max_agg", udaf(new CombineAgg("max")))
-    spark.udf.register("bsi_distinct_pos_agg", udaf(new CombineAgg("distinctPos")))
+    spark.udf.register("bsi_sum_agg", udaf(new CombineAgg(BSIAggregates.sumBSI)))
+    spark.udf.register("bsi_mul_agg", udaf(new CombineAgg(BSIAggregates.mulBSI)))
+    spark.udf.register("bsi_max_agg", udaf(new CombineAgg(BSIAggregates.maxBSI)))
+    spark.udf.register("bsi_distinct_pos_agg", udaf(new CombineAgg(BSIAggregates.distinctPos)))
 
     val de = BSICodec.deserialize _
     val se = BSICodec.serialize _

@@ -1,44 +1,49 @@
 package repro.eval
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicLong
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 
 /** Measurement helpers for the evaluation harness. */
 object Measure {
 
-  /** Wall-clock seconds of `body`. */
-  def wallSeconds[T](body: => T): (T, Double) = {
-    val t0 = System.nanoTime()
-    val r  = body
-    (r, (System.nanoTime() - t0) / 1e9)
-  }
-
   /** Total executor CPU seconds consumed by all Spark tasks that end while
     * `body` runs (the Table 7 "CPU hours" quantity, scaled to seconds).
     * Runs must not overlap — the listener is global.
+    *
+    * Spark posts a job's end event before the action returns, and the
+    * listener bus delivers events in the order they were posted. So after
+    * `body` a one-task barrier job runs in a job group of its own: once its
+    * start event arrives every task of `body` has been counted, and once its
+    * end event arrives the total is final.
     */
   def sparkCpuSeconds[T](spark: SparkSession)(body: => T): (T, Double) = {
-    val cpuNs = new java.util.concurrent.atomic.AtomicLong(0L)
+    val sc = spark.sparkContext
+    val barrierGroup = "repro.eval.Measure barrier"
+    val cpuNs = new AtomicLong(0L)
+    val barrierDone = new CountDownLatch(1)
+    // listener callbacks all run on the listener bus thread
     val listener = new SparkListener {
-      override def onTaskEnd(taskEnd: SparkListenerTaskEnd): Unit = {
-        val m = taskEnd.taskMetrics
-        if (m != null) cpuNs.addAndGet(m.executorCpuTime)
-      }
+      private var barrierJob = -1
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty("spark.jobGroup.id") == barrierGroup)
+          barrierJob = e.jobId
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (barrierJob < 0 && e.taskMetrics != null) cpuNs.addAndGet(e.taskMetrics.executorCpuTime)
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (e.jobId == barrierJob) barrierDone.countDown()
     }
-    spark.sparkContext.addSparkListener(listener)
+    sc.addSparkListener(listener)
     try {
       val r = body
-      // the listener bus is async with no public drain — poll until the
-      // counter is stable (two consecutive identical reads), max ~5 s
-      var last = -1L
-      var tries = 0
-      while (cpuNs.get() != last && tries < 25) {
-        last = cpuNs.get()
-        Thread.sleep(200)
-        tries += 1
-      }
+      sc.setJobGroup(barrierGroup, "listener barrier", interruptOnCancel = false)
+      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
+      if (!barrierDone.await(2, TimeUnit.MINUTES))
+        throw new IllegalStateException("the listener bus did not deliver the barrier job's end event")
       (r, cpuNs.get() / 1e9)
-    } finally spark.sparkContext.removeSparkListener(listener)
+    } finally sc.removeSparkListener(listener)
   }
 
   /** Average wall seconds of `body` over `reps` runs after `warmup` runs. */

@@ -1,6 +1,7 @@
 package repro.eval
 
 import repro.bsi.{BSI, BSIBuilder}
+import repro.expgen.ExperimentGen.{mix, paretoValue, u01}
 
 /** Tables 5 & 6 — the three "typical metrics" A/B/C and the single-core
   * two-day-sum comparison, normal format vs BSI format.
@@ -27,13 +28,6 @@ object Table56Eval {
     */
   final case class Day(positions: Array[Int], values: Array[Long])
 
-  private def mix(x: Long): Long = { // splitmix64 finalizer
-    var z = x + 0x9e3779b97f4a7c15L
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
-
   def generate(m: TypicalMetric, day: Int): Day = {
     val keep = m.nRows.toDouble / m.universe
     val pos  = new scala.collection.mutable.ArrayBuilder.ofInt
@@ -42,12 +36,9 @@ object Table56Eval {
     vals.sizeHint(m.nRows + m.nRows / 16)
     var p = 0
     while (p < m.universe) {
-      val h = mix(p.toLong * 31 + day * 1000003L + m.rangeCard)
-      if (((h >>> 11).toDouble / (1L << 53)) < keep) {
-        val u = ((mix(h) >>> 11).toDouble / (1L << 53)).min(0.999999)
-        // Pareto-like concentration near small values: rangeCard^(u³)
-        val v = math.max(1L, math.pow(m.rangeCard.toDouble, u * u * u).toLong)
-          .min(m.rangeCard.toLong)
+      val key = p.toLong * 31 + day * 1000003L + m.rangeCard
+      if (u01(key) < keep) {
+        val v = paretoValue(m.rangeCard, u01(mix(key)).min(0.999999))
         pos += p
         vals += v
       }

@@ -6,14 +6,16 @@ import scala.jdk.CollectionConverters._
 import repro.adhoc.AdhocEngine
 import repro.bsi.BSIBuilder
 import repro.expgen.ExperimentGen
+import repro.expgen.ExperimentGen.{mix, paretoValue, u01}
 
 /** Table 8 — average latency of ad-hoc queries computing the 105 core metrics
   * for an experiment with 3 strategies over one week, BSI method vs normal
   * method, both on the ClickHouse-substitute [[AdhocEngine]] (§5.3, §6.3).
   *
   * Shard data is generated directly into the engine, segment-parallel, with
-  * the same distributions as [[ExperimentGen]] (Table 3 value ranges,
-  * Pareto-concentrated values, geometric expose offsets). Density matters for
+  * [[ExperimentGen]]'s in-process hash and value draw and the same
+  * distributions as its Spark logs (Table 3 value ranges, Pareto-concentrated
+  * values, geometric expose offsets). Density matters for
   * fidelity: the paper runs ~200k users per ClickHouse segment, where Roaring
   * slices sit in bitmap containers and operate word-parallel — the per-segment
   * user count here is chosen to stay in that regime.
@@ -21,14 +23,6 @@ import repro.expgen.ExperimentGen
 object Table8Eval {
 
   final case class Result(bsiSec: Double, normalSec: Double, cells: Int, rendered: String)
-
-  private def mix(x: Long): Long = { // splitmix64 finalizer
-    var z = x + 0x9e3779b97f4a7c15L
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
-  private def u01(x: Long): Double = (mix(x) >>> 11).toDouble / (1L << 53)
 
   /** Populate one segment shard: expose BSIs for the 3 strategies and, per
     * (metric, date), the value BSI plus the normal-format columnar rows.
@@ -65,9 +59,7 @@ object Table8Eval {
           // participation ∝ engagement (decreasing in position, as encoded)
           val engagement = 1.0 - (p + 0.5) / usersPerSegment
           if (u01(h) < math.min(1.0, 2 * engagement * part)) {
-            val u = u01(h + 5)
-            val v = math.max(1L, math.pow(spec.rangeCard.toDouble, u * u * u).toLong)
-              .min(spec.rangeCard)
+            val v = paretoValue(spec.rangeCard, u01(h + 5))
             b.put(p, v)
             posB += p
             valB += v
@@ -80,8 +72,8 @@ object Table8Eval {
     }
   }
 
-  def run(spark: org.apache.spark.sql.SparkSession, nUsers: Long, nSegments: Int,
-          nMetrics: Int = 105, nDays: Int = 7, reps: Int = 10, seed: Long = 42): Result = {
+  def run(nUsers: Long, nSegments: Int, nMetrics: Int = 105, nDays: Int = 7,
+          reps: Int = 10, seed: Long = 42): Result = {
     val specs = ExperimentGen.coreMetricSpecs.take(nMetrics)
     val dates = (1 to nDays).toSeq
     val strategyIds = Seq(9000L, 9001L, 9002L) // one huge 3-arm experiment

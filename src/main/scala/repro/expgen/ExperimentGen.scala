@@ -81,6 +81,26 @@ object ExperimentGen {
     specs.toDF()
   }
 
+  /** splitmix64 finalizer: the hash behind the in-process generators of the
+    * evaluators, which fill BSIs directly instead of going through Spark.
+    */
+  def mix(x: Long): Long = {
+    var z = x + 0x9e3779b97f4a7c15L
+    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
+    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
+    z ^ (z >>> 31)
+  }
+
+  /** Uniform in [0, 1) as a deterministic hash of `x`. */
+  def u01(x: Long): Double = (mix(x) >>> 11).toDouble / (1L << 53)
+
+  /** The value draw of [[metricLog]] for one uniform `u` in [0, 1):
+    * `rangeCard^(u³)`, clamped to (0, rangeCard], so values concentrate near
+    * the low end (Fig. 4–5).
+    */
+  def paretoValue(rangeCard: Long, u: Double): Long =
+    math.max(1L, math.pow(rangeCard.toDouble, u * u * u).toLong).min(rangeCard)
+
   /** Metric log (normal format): `(date, metric_id, unit_id, value)`.
     * One row per participating (unit, metric, date); `value ≥ 1`.
     */
@@ -99,6 +119,7 @@ object ExperimentGen {
         col("date"),
         col("metricId").as("metric_id"),
         col("unit_id"),
+        // the draw of paretoValue(rangeCard, vU), as a column expression
         least(col("rangeCard"),
           greatest(lit(1L),
             floor(pow(col("rangeCard").cast(DoubleType), pow(vU, lit(3.0)))).cast(LongType)

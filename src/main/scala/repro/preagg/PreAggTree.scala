@@ -28,9 +28,6 @@ final class PreAggTree(leaves: IndexedSeq[BSI], combine: (BSI, BSI) => BSI) exte
     while (j >= 1) { nodes(j) = combine(nodes(2 * j), nodes(2 * j + 1)); j -= 1 }
   }
 
-  /** Number of leaf days. */
-  def numDays: Int = n
-
   /** Count of tree nodes merged by the last [[query]] (for tests/benches). */
   @volatile var lastNodesMerged: Int = 0
 

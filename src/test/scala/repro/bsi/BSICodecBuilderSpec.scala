@@ -60,7 +60,7 @@ class BSICodecBuilderSpec extends AnyFunSuite {
 
   test("codec round-trips a binary bitmap") {
     val bm = org.roaringbitmap.RoaringBitmap.bitmapOf(0, 3, 7, 100000)
-    val back = BSICodec.deserialize(BSICodec.serializeBitmap(bm))
+    val back = BSICodec.deserialize(BSICodec.serialize(BSI.fromBitmap(bm)))
     assert(bitmapToSet(back.existence) == Set(0, 3, 7, 100000))
     assert(back.numSlices == 1)
   }

@@ -5,8 +5,8 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.bsi.BSICodec
 
-/** Pre-experiment (CUPED) computation (§4.3): sumBSI over the pre-period via
-  * the direct aggregate and via the pre-aggregate tree, oracle-checked.
+/** Pre-experiment (CUPED) computation (§4.3): sumBSI over the pre-period,
+  * oracle-checked.
   */
 class PreExperimentSpec extends SparkSpec {
 
@@ -15,23 +15,6 @@ class PreExperimentSpec extends SparkSpec {
   // 4-day pre-period (days 1..4)
   private val start = 5
   private val c     = 4
-
-  test("preSumDirect equals preSumTree") {
-    val direct = PreExperiment.preSumDirect(d.metricBsi, start, c)
-    val tree   = PreExperiment.preSumTree(d.metricBsi, TestFixtures.MetricDates, start, c)
-    assert(direct.count() == tree.count())
-    val joined = direct.alias("a").join(tree.alias("b"), Seq("segment_id", "metric_id"))
-      .select(expr("bsi_sum(a.value_bsi)").as("sa"), expr("bsi_sum(b.value_bsi)").as("sb"),
-              expr("bsi_count(a.value_bsi)").as("ca"), expr("bsi_count(b.value_bsi)").as("cb"),
-              col("a.value_bsi").as("va"), col("b.value_bsi").as("vb"))
-      .collect()
-    joined.foreach { r =>
-      assert(r.getAs[Long]("sa") == r.getAs[Long]("sb"))
-      assert(r.getAs[Long]("ca") == r.getAs[Long]("cb"))
-      assert(BSICodec.deserialize(r.getAs[Array[Byte]]("va")) ==
-             BSICodec.deserialize(r.getAs[Array[Byte]]("vb")))
-    }
-  }
 
   test("pre-period sums match a DuckDB per-unit aggregation") {
     val p2u = d.dict.collect().map(r => (r.getAs[Int]("segment_id"), r.getAs[Int]("pos")) ->

@@ -50,12 +50,14 @@ class ExperimentGenSpec extends SparkSpec {
 
   test("one metric row per (unit, metric, date)") {
     val ml = ExperimentGen.metricLog(spark, 1000, ExperimentGen.smallMetricSpecs(3), Seq(1, 2))
+    assert(ml.columns.toSeq == Seq("date", "metric_id", "unit_id", "value"))
     assert(ml.count() == ml.select("unit_id", "metric_id", "date").distinct().count())
   }
 
   test("expose: strategies of one experiment get disjoint user sets") {
     val strategies = ExperimentGen.twoArmStrategies(1, 500000L, 1, 5)
     val el = ExperimentGen.exposeLog(spark, 3000, strategies, 8)
+    assert(el.columns.toSeq == Seq("strategy_id", "unit_id", "first_expose_date", "bucket_id"))
     val byStrategy = el.collect().groupBy(_.getAs[Long]("strategy_id"))
       .view.mapValues(_.map(_.getAs[Long]("unit_id")).toSet).toMap
     val arms = strategies.map(_.strategyId)
@@ -87,6 +89,7 @@ class ExperimentGenSpec extends SparkSpec {
 
   test("dimension log covers every user for both dimensions with values in range") {
     val dl = ExperimentGen.dimensionLog(spark, 500, Seq(1))
+    assert(dl.columns.toSeq == Seq("date", "dim_name", "unit_id", "value"))
     assert(dl.count() == 1000)
     val ct = dl.where(col("dim_name") === "client-type")
       .agg(min("value"), max("value")).collect().head
@@ -98,6 +101,8 @@ class ExperimentGenSpec extends SparkSpec {
 
   test("segments are balanced and stable under the dictionary hash") {
     val dict = ExperimentGen.dictionary(spark, 4000, 16)
+    assert(dict.count() == 4000L)
+    assert(dict.agg(min("pos")).collect().head.getInt(0) == 0)
     val counts = dict.groupBy("segment_id").count().collect().map(_.getLong(1))
     assert(counts.length == 16)
     val avg = counts.sum.toDouble / 16
