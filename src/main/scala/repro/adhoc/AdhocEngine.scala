@@ -86,7 +86,8 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
     })
 
   /** §6.3 normal method: scan the metric rows of each (segment, metric, date)
-    * once and test membership in each strategy's cached expose bitmap.
+    * once and test membership in each strategy's cached expose bitmap; a
+    * missing bitmap fails the query, naming its (segment, strategy, date).
     */
   def queryNormal(strategyIds: Seq[Long], metricIds: Seq[Int], dates: Seq[Int]): Seq[Cell] =
     mergeCells(runSegmentParallel { seg =>
@@ -95,6 +96,8 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
         val (pos, values) = metricRows.getOrDefault((seg, m, d), (Array.empty[Int], Array.empty[Long]))
         for (st <- strategyIds) {
           val bm = exposeBitmaps.get((seg, st, d))
+          if (bm == null) throw new NoSuchElementException(
+            s"no expose bitmap for segment $seg, strategy $st, date $d (call buildExposeBitmaps first)")
           var sum = 0L
           var i = 0
           while (i < pos.length) {

@@ -317,6 +317,29 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
   /** Scorecard cell (§4.2): (Σ values over the expose `mask`, |mask|), so exposed units without a value count. */
   def exposedSum(mask: RoaringBitmap): (Long, Long) = (filteredSum(mask), mask.getLongCardinality)
 
+  /** Bucketed scorecard cell (§4.2, §3.3): one `(bucket id, Σ values over the
+    * exposed units of the bucket, exposed count)` per non-empty bucket, in
+    * bucket order. The exposed positions that have a bucket are split by the
+    * slices of `buckets` in one high-to-low pass (the bit-sliced group-by of
+    * O'Neil & Quass, SIGMOD 1997), dropping empty branches, so each leaf is
+    * one bucket's positions.
+    */
+  def bucketExposedSums(mask: RoaringBitmap, buckets: BSI): Seq[(Long, Long, Long)] = {
+    val out = Seq.newBuilder[(Long, Long, Long)]
+    // `bm` is owned here, so it becomes the zero branch in place
+    def split(bm: RoaringBitmap, i: Int, id: Long): Unit =
+      if (i < 0) out += ((id, filteredSum(bm), bm.getLongCardinality))
+      else {
+        val one = RoaringBitmap.and(bm, buckets.slice(i))
+        bm.andNot(buckets.slice(i))
+        if (!bm.isEmpty) split(bm, i - 1, id)
+        if (!one.isEmpty) split(one, i - 1, id | (1L << i))
+      }
+    val exposed = RoaringBitmap.and(mask, buckets.existence)
+    if (!exposed.isEmpty) split(exposed, buckets.numSlices - 1, 0L)
+    out.result()
+  }
+
   /** Smallest non-zero value; 0 when empty. */
   def minValue: Long = {
     if (isEmpty) return 0L

@@ -1,6 +1,5 @@
 package repro.bsi
 
-import java.io.{ByteArrayOutputStream, DataOutputStream}
 import java.nio.ByteBuffer
 import org.roaringbitmap.RoaringBitmap
 
@@ -13,18 +12,18 @@ import org.roaringbitmap.RoaringBitmap
   */
 object BSICodec {
 
-  /** Serialize; `BSI.empty` encodes as a 4-byte zero header. */
+  /** Serialize; `BSI.empty` encodes as a 4-byte zero header. Each slice is
+    * written straight into one buffer sized to the sum of the slices' sizes.
+    */
   def serialize(bsi: BSI): Array[Byte] = {
-    val bos = new ByteArrayOutputStream(64)
-    val out = new DataOutputStream(bos)
-    out.writeInt(bsi.numSlices)
+    var size = 4L
     var i = 0
-    while (i < bsi.numSlices) {
-      bsi.slice(i).serialize(out)
-      i += 1
-    }
-    out.flush()
-    bos.toByteArray
+    while (i < bsi.numSlices) { size += bsi.slice(i).serializedSizeInBytes; i += 1 }
+    val buf = ByteBuffer.allocate(Math.toIntExact(size))
+    buf.putInt(bsi.numSlices)
+    i = 0
+    while (i < bsi.numSlices) { bsi.slice(i).serialize(buf); i += 1 }
+    buf.array
   }
 
   /** Deserialize; `null` and zero-length input decode to `BSI.empty`. Slices

@@ -23,10 +23,12 @@ import repro.bsi.{BSI, BSIAggregates, BSIBuilder, BSICodec}
   *   - `bsi_cmp_const(a, op, k)`         comparison against a constant → binary BSI
   *   - `bsi_exposed_sum(v, offset, op, k)` fused scorecard cell (§4.2): struct of
   *                                       (Σ v over the mask `offset op k`, mask count)
+  *   - `bsi_bucket_exposed_sum(v, offset, op, k, bucket)` the same cell split by
+  *                                       the bucket BSI: array of (bucket id, Σ v, count),
+  *                                       one per bucket with an exposed unit (§4.2)
   *   - `bsi_sum/bsi_count/bsi_avg/bsi_min_value/bsi_max_value/bsi_median/bsi_ntile`
   *                                       in-BSI aggregates → scalar (§4.1.3)
   *   - `bsi_get(a, pos)`                 point lookup (tests/debug)
-  *   - `bsi_bucket_stats(v, mask, bucket, n)` per-bucket (sum, exposed-count) rows (§4.2)
   */
 object BsiUdfs {
 
@@ -38,7 +40,11 @@ object BsiUdfs {
   /** Typed aggregator turning `(pos, value)` rows into one serialized BSI. */
   final class BuildAgg extends Aggregator[(Long, Long), BSIBuilder, Array[Byte]] {
     def zero: BSIBuilder = new BSIBuilder
-    def reduce(b: BSIBuilder, in: (Long, Long)): BSIBuilder = b.addTo(in._1.toInt, in._2)
+    def reduce(b: BSIBuilder, in: (Long, Long)): BSIBuilder = {
+      if (in._1 < 0 || in._1 > Int.MaxValue)
+        throw new IllegalArgumentException(s"position ${in._1} outside [0, ${Int.MaxValue}]")
+      b.addTo(in._1.toInt, in._2)
+    }
     def merge(a: BSIBuilder, b: BSIBuilder): BSIBuilder = a.merge(b)
     def finish(b: BSIBuilder): Array[Byte] = BSICodec.serialize(b.result())
     def bufferEncoder: Encoder[BSIBuilder] = Encoders.javaSerialization[BSIBuilder]
@@ -104,6 +110,9 @@ object BsiUdfs {
       (a: Array[Byte], op: String, k: Long) => se(BSI.fromBitmap(cmpConst(de(a), op, k))))
     spark.udf.register("bsi_exposed_sum", (v: Array[Byte], offset: Array[Byte], op: String, k: Long) =>
       de(v).exposedSum(cmpConst(de(offset), op, k)))
+    spark.udf.register("bsi_bucket_exposed_sum",
+      (v: Array[Byte], offset: Array[Byte], op: String, k: Long, bucket: Array[Byte]) =>
+        de(v).bucketExposedSums(cmpConst(de(offset), op, k), de(bucket)))
 
     spark.udf.register("bsi_sum", (a: Array[Byte]) => de(a).sumValues)
     spark.udf.register("bsi_count", (a: Array[Byte]) => de(a).count)
@@ -115,20 +124,5 @@ object BsiUdfs {
     spark.udf.register("bsi_get", (a: Array[Byte], pos: Int) => de(a).get(pos))
     spark.udf.register("bsi_num_slices", (a: Array[Byte]) => de(a).numSlices)
     spark.udf.register("bsi_size_bytes", (a: Array[Byte]) => de(a).sizeInBytes)
-
-    // Per-bucket (sum of filtered values, exposed-unit count) within a segment:
-    // bucket b's positions are bucketBsi = b (constant equality on the bucket
-    // BSI); buckets with no exposed unit are omitted (they contribute zeros).
-    spark.udf.register("bsi_bucket_stats",
-      (value: Array[Byte], exposeMask: Array[Byte], bucket: Array[Byte], nBuckets: Int) => {
-        val v = de(value); val m = de(exposeMask).existence; val bk = de(bucket)
-        (1 to nBuckets).flatMap { b =>
-          val posB = bk.eqConst(b.toLong)
-          posB.and(m)
-          val cnt = posB.getLongCardinality
-          if (cnt == 0) None
-          else Some((b, v.andBinary(posB).sumValues, cnt))
-        }
-      })
   }
 }

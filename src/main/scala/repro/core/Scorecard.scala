@@ -31,19 +31,21 @@ object Scorecard {
       .select(col("strategy_id"), col("metric_id"), col("date"), col("segment_id").as("bucket_id"),
               col("cell._1").as("bucket_sum"), col("cell._2").as("exposed_cnt"))
 
-  /** The general case (§4.2, segment ≠ bucket): per-segment per-bucket partial
-    * sums via the bucket BSI, then merged across segments.
+  /** The general case (§4.2, segment ≠ bucket): each joined row is split into
+    * per-bucket partial sums by the fused `bsi_bucket_exposed_sum` cell, then
+    * merged across segments. A bucket id outside `1..nBuckets` throws
+    * `IllegalArgumentException` naming it.
     */
   def bucketValuesBucketed(exposeBsi: DataFrame, metricBsi: DataFrame,
-                           dates: Seq[Int], nBuckets: Int): DataFrame =
+                           dates: Seq[Int], nBuckets: Int): DataFrame = {
+    // ids start at 1 by construction: bucket 0 would be absent from the BSI
+    val bucketId = udf { (id: Long) => require(id <= nBuckets, s"bucket id $id outside 1..$nBuckets"); id.toInt }
     joinExpose(exposeBsi, metricBsi, dates)
-      .withColumn("expose",
-        expr("bsi_cmp_const(offset_bsi, '<=', cast(date - min_expose_date + 1 as bigint))"))
-      .withColumn("filtered_value", expr("bsi_mul(value_bsi, expose)"))
-      .withColumn("bs",
-        expr(s"explode(bsi_bucket_stats(filtered_value, expose, bucket_bsi, $nBuckets))"))
-      .groupBy(col("strategy_id"), col("metric_id"), col("date"), col("bs._1").as("bucket_id"))
+      .withColumn("bs", expr("explode(bsi_bucket_exposed_sum(value_bsi, offset_bsi, '<=', " +
+        "cast(date - min_expose_date + 1 as bigint), bucket_bsi))"))
+      .groupBy(col("strategy_id"), col("metric_id"), col("date"), bucketId(col("bs._1")).as("bucket_id"))
       .agg(sum(col("bs._2")).as("bucket_sum"), sum(col("bs._3")).as("exposed_cnt"))
+  }
 
   /** Metric BSIs of `dates` joined to their segment's expose BSIs. The expose
     * side (one row per segment × strategy) is broadcast, so the UDFs run in the

@@ -75,4 +75,15 @@ class AdhocEngineSpec extends AnyFunSuite {
     assert(cells.head.sum == 100L) // unit 1 exposed on day 12 > query day 11
     assert(cells.head.exposedCnt == 1L)
   }
+
+  test("queryNormal names a missing expose bitmap") {
+    val eng = new AdhocEngine(2, nThreads = 2)
+    for (seg <- 0 until 2) eng.loadExposeBsi(seg, 5L, 1, toBsi(Map(0 -> 1L, 1 -> 2L)))
+    eng.buildExposeBitmaps(0, 5L, Seq(1, 2))
+    eng.buildExposeBitmaps(1, 5L, Seq(1)) // no day-2 bitmap in segment 1
+    assert(eng.queryNormal(Seq(5L), Seq(7), Seq(1)).head.exposedCnt == 2L)
+    val e = intercept[java.util.concurrent.ExecutionException](eng.queryNormal(Seq(5L), Seq(7), Seq(1, 2)))
+    assert(e.getCause.isInstanceOf[NoSuchElementException], e)
+    assert(e.getCause.getMessage.contains("segment 1, strategy 5, date 2"), e.getMessage)
+  }
 }

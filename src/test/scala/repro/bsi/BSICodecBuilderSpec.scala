@@ -36,6 +36,22 @@ class BSICodecBuilderSpec extends AnyFunSuite {
     }
   }
 
+  test("codec encodes a big-endian slice count, then each slice's stream serialization") {
+    val single = toBsi(random(7, 400, 70000, 1L))
+    val runs   = toBsi((0 until 200000).map(p => p -> (p / 1000 % 5 + 1L)).toMap) // run and bitmap containers
+    val shapes = Seq(BSI.empty, single, runs) ++
+      (0 until 6).map(s => toBsi(random(s + 40, 50 << s, 1 << 20, 1L << (4 * s + 2))))
+    assert(single.numSlices == 1)
+    for (b <- shapes) {
+      val bos = new java.io.ByteArrayOutputStream()
+      val out = new java.io.DataOutputStream(bos)
+      out.writeInt(b.numSlices)
+      (0 until b.numSlices).foreach(b.slice(_).serialize(out))
+      out.flush()
+      assert(BSICodec.serialize(b).sameElements(bos.toByteArray), s"$b")
+    }
+  }
+
   private def decodeError(bytes: Array[Byte]): String =
     intercept[IllegalArgumentException](BSICodec.deserialize(bytes)).getMessage
 

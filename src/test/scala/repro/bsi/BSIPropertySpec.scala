@@ -95,6 +95,45 @@ class BSIPropertySpec extends AnyFunSuite {
       assert(cellMatches(v, o, k), s"value size ${v.size}, offset size ${o.size}, k $k")
   }
 
+  /** The bucketed cell under each comparison op equals a reference group-by
+    * of the exposed positions that have a bucket.
+    */
+  private def bucketCellMatches(value: Ref, offset: Ref, k: Long, bucket: Ref): Boolean =
+    constOps.forall { case (mask, cmp) =>
+      val byBucket = compareConst(offset, k, cmp).filter(bucket.contains).groupBy(bucket)
+      val expected = byBucket.toSeq.sortBy(_._1).map { case (b, ps) =>
+        (b, ps.iterator.map(value.getOrElse(_, 0L)).sum, ps.size.toLong)
+      }
+      toBsi(value).bucketExposedSums(mask(toBsi(offset), k), toBsi(bucket)) == expected
+    }
+
+  test("property: bucketExposedSums matches a reference group-by for every comparison op") {
+    val genOffset = for {
+      n <- Gen.choose(0, 300); mx <- Gen.oneOf(1L, 7L); seed <- Gen.choose(0L, 1L << 40)
+    } yield random(seed, n, 3000, mx)
+    val genBucket = for {
+      n <- Gen.choose(0, 300); mx <- Gen.oneOf(1L, 8L, 1024L, 1L << 11); seed <- Gen.choose(0L, 1L << 40)
+    } yield random(seed, n, 3000, mx)
+    val genK = Gen.oneOf(Gen.choose(-2L, 0L), Gen.choose(1L, 8L))
+    check(Prop.forAll(genRef, genOffset, genK, genBucket)(bucketCellMatches))
+    val value  = random(21, 300, 3000, 1000L)
+    val offset = random(22, 300, 3000, 7L)
+    val bucket = random(23, 300, 3000, 1L << 11)
+    val none   = Map.empty[Int, Long]
+    val apart  = offset.keySet.filter(_ % 2 == 0)
+    val split  = (offset.view.filterKeys(apart).toMap, bucket.view.filterKeys(p => !apart(p)).toMap)
+    for ((v, o, k, b) <- Seq(
+           (none, offset, 4L, bucket),                      // no values: counts with sum 0
+           (value, none, 4L, bucket),                       // empty mask
+           (value, offset, 4L, none),                       // no position has a bucket
+           (value, split._1, 4L, split._2),                 // mask and buckets disjoint
+           (value, offset, 0L, bucket), (value, offset, -5L, bucket),
+           (value, offset, 4L, offset.keySet.map(_ -> (1L << 11)).toMap))) // one top bucket
+      assert(bucketCellMatches(v, o, k, b), s"value ${v.size}, offset ${o.size}, k $k, bucket ${b.size}")
+    val withCounts = toBsi(none).bucketExposedSums(toBsi(offset).leConst(4L), toBsi(bucket))
+    assert(withCounts.nonEmpty && withCounts.forall(c => c._2 == 0L && c._3 > 0L))
+  }
+
   test("property: sumValues/count/min/max/median agree with the decoded column") {
     check(Prop.forAll(genRef) { r =>
       val b = toBsi(r)

@@ -135,23 +135,31 @@ class BsiUdfsSpec extends SparkSpec {
     out.foreach(r => assert((r.getLong(0), r.getLong(1)) == ((r.getLong(2), r.getLong(3))), r))
   }
 
-  test("bsi_bucket_stats splits filtered sums by bucket") {
+  test("bsi_bucket_exposed_sum splits exposed sums by bucket") {
     _reg
     import spark.implicits._
     // positions 0..9; values = pos+1; buckets alternate 1/2; mask keeps evens
     val value  = toBsi((0 until 10).map(p => p -> (p + 1L)).toMap)
     val mask   = toBsi((0 until 10 by 2).map(_ -> 1L).toMap)
     val bucket = toBsi((0 until 10).map(p => p -> (p % 2 + 1L)).toMap)
-    val rows = Seq((BSICodec.serialize(value.andBinary(mask.existence)),
-                    BSICodec.serialize(mask), BSICodec.serialize(bucket)))
+    val rows = Seq((BSICodec.serialize(value), BSICodec.serialize(mask), BSICodec.serialize(bucket)))
       .toDF("v", "m", "bk")
-      .select(expr("explode(bsi_bucket_stats(v, m, bk, 2))").as("s"))
+      .select(expr("explode(bsi_bucket_exposed_sum(v, m, '<=', 1L, bk))").as("s")) // the mask as offsets
       .select("s._1", "s._2", "s._3")
       .collect()
-      .map(r => (r.getInt(0), r.getLong(1), r.getLong(2)))
+      .map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
       .toSet
     // bucket 1 holds even positions: masked values 1+3+5+7+9 = 25, count 5
-    assert(rows == Set((1, 25L, 5L)))
+    assert(rows == Set((1L, 25L, 5L)))
+  }
+
+  test("bsi_build rejects positions outside [0, Int.MaxValue]") {
+    val agg = new BsiUdfs.BuildAgg
+    for (pos <- Seq((1L << 32) + 5, Int.MaxValue + 1L, -1L)) {
+      val e = intercept[IllegalArgumentException](agg.reduce(agg.zero, (pos, 3L)))
+      assert(e.getMessage.contains(s"position $pos"), e.getMessage)
+    }
+    assert(bsiToRef(agg.reduce(agg.zero, (Int.MaxValue.toLong, 3L)).result()) == Map(Int.MaxValue -> 3L))
   }
 
   test("UDFs treat null binary as the empty BSI") {

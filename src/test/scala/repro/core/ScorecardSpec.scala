@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.logging.log4j.Level
+import org.apache.logging.log4j.core.config.Configurator
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
@@ -77,13 +79,20 @@ class ScorecardSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(joined.count() == 0)
   }
 
+  /** The fixture's expose log with the generator's 1-based `bucket_id` in
+    * `1..nBuckets` kept (the fixture's own expose BSI carries segment ids).
+    */
+  private def trueBuckets(nBuckets: Int) = {
+    val raw = repro.expgen.ExperimentGen.exposeLog(
+      spark, TestFixtures.NUsers, TestFixtures.Strategies, nBuckets, TestFixtures.Seed)
+    (raw, BsiConvert.exposeLogToBsi(raw, d.dict))
+  }
+
   test("bucketed scorecard (segment ≠ bucket) aggregates to the same totals") {
     val nB = TestFixtures.NSegments // bucket ids 1..8 from the generator
     // the fixture's exposeBsi carries segment-as-bucket ids (0-based, invalid
     // inside a BSI where 0 = absent); use the generator's true 1-based buckets
-    val raw = repro.expgen.ExperimentGen.exposeLog(
-      spark, TestFixtures.NUsers, TestFixtures.Strategies, TestFixtures.NSegments, TestFixtures.Seed)
-    val eBsiTrue = BsiConvert.exposeLogToBsi(raw, d.dict)
+    val (_, eBsiTrue) = trueBuckets(nB)
     val bucketed = Scorecard.bucketValuesBucketed(eBsiTrue, d.metricBsi, dates, nB)
     val simple   = Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, dates)
     val tb = bucketed.groupBy("strategy_id", "metric_id", "date")
@@ -96,16 +105,27 @@ class ScorecardSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("bucketed scorecard matches a bucket-grain DuckDB oracle") {
-    // true bucket ids (1..8 hash buckets from the generator), not segment ids:
-    // rebuild the expose BSI with the generator's bucket_id intact
-    val raw = repro.expgen.ExperimentGen.exposeLog(
-      spark, TestFixtures.NUsers, TestFixtures.Strategies, TestFixtures.NSegments, TestFixtures.Seed)
-    val eBsi = BsiConvert.exposeLogToBsi(raw, d.dict)
-    val bsi = Scorecard.bucketValuesBucketed(eBsi, d.metricBsi, dates, TestFixtures.NSegments)
-      .select(col("strategy_id").cast("long"), col("metric_id").cast("int"),
-              col("date").cast("int"), col("bucket_id").cast("int"),
-              col("bucket_sum").cast("long"), col("exposed_cnt").cast("long"))
-    Oracle.assertEquivalent(bsi, oracleSql(dates), "expose" -> raw, "metric" -> d.metric)
+    // at the fixture's 8 buckets and at the paper's 1024 (~600 units per arm, so most buckets hold 0-2)
+    for (nB <- Seq(TestFixtures.NSegments, 1024)) {
+      val (raw, eBsi) = trueBuckets(nB)
+      val bsi = Scorecard.bucketValuesBucketed(eBsi, d.metricBsi, dates, nB)
+        .select(col("strategy_id").cast("long"), col("metric_id").cast("int"),
+                col("date").cast("int"), col("bucket_id").cast("int"),
+                col("bucket_sum").cast("long"), col("exposed_cnt").cast("long"))
+      Oracle.assertEquivalent(bsi, oracleSql(dates), "expose" -> raw, "metric" -> d.metric)
+    }
+  }
+
+  test("bucketed scorecard rejects a bucket id above nBuckets by name") {
+    val (_, eBsi) = trueBuckets(TestFixtures.NSegments)
+    // the failing tasks' stack traces are expected here, so keep them out of the test log
+    val taskLoggers = Seq("org.apache.spark.executor.Executor", "org.apache.spark.scheduler.TaskSetManager")
+    taskLoggers.foreach(Configurator.setLevel(_, Level.OFF))
+    val e = try intercept[Exception](Scorecard.bucketValuesBucketed(eBsi, d.metricBsi, dates, 5).collect())
+            finally taskLoggers.foreach(Configurator.setLevel(_, Level.WARN))
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+      Option(c.getMessage).exists(_.matches("(?s).*bucket id [678] outside 1\\.\\.5.*"))), causes.map(_.getMessage))
   }
 
   test("metricValues rolls buckets up to Σsum/Σcnt") {
