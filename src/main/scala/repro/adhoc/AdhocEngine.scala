@@ -70,12 +70,15 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
       Cell(st, m, d, cs.map(_.sum).sum, cs.map(_.exposedCnt).sum)
     }.toSeq.sortBy(c => (c.strategyId, c.metricId, c.date))
 
-  /** §6.3 BSI method. */
+  /** §6.3 BSI method. A never-loaded expose BSI fails the query, naming its
+    * (segment, strategy); a missing metric shard reads as empty.
+    */
   def queryBsi(strategyIds: Seq[Long], metricIds: Seq[Int], dates: Seq[Int]): Seq[Cell] =
     mergeCells(runSegmentParallel { seg =>
       for {
         st <- strategyIds
-        (minDate, offset) = exposeBsi.getOrDefault((seg, st), (0, BSI.empty))
+        (minDate, offset) = Option(exposeBsi.get((seg, st))).getOrElse(throw new NoSuchElementException(
+          s"no expose BSI for segment $seg, strategy $st (call loadExposeBsi first)"))
         d <- dates
         expose = offset.leConst(math.max(0L, (d - minDate + 1).toLong))
         m <- metricIds

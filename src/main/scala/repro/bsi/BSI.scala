@@ -215,67 +215,44 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
 
   // ------------------------------------------------ comparisons vs a constant
 
-  private def bitsNeeded(k: Long): Int = 64 - java.lang.Long.numberOfLeadingZeros(k)
-
-  /** Positions with value > k; zero (absent) never matches, so `k <= 0` selects all. */
-  def gtConst(k: Long): RoaringBitmap = {
-    if (k <= 0) return existence.clone()
-    val n  = math.max(numSlices, bitsNeeded(k))
-    val eq = existence.clone()
-    val gt = new RoaringBitmap()
-    var i  = n - 1
-    while (i >= 0) { // high-order slice first (O'Neil range search)
-      val x = slice(i)
-      if (((k >> i) & 1L) == 1L) eq.and(x)
-      else { gt.or(RoaringBitmap.and(eq, x)); eq.andNot(x) }
-      i -= 1
-    }
-    gt
-  }
-
-  /** Positions with 0 < value < k. */
-  def ltConst(k: Long): RoaringBitmap = {
-    if (k <= 0) return new RoaringBitmap()
-    val n  = math.max(numSlices, bitsNeeded(k))
-    val eq = existence.clone()
+  /** O'Neil–Quass bit-sliced range search (SIGMOD 1997), high slice first:
+    * (positions with 0 < value < k, positions with value = k). Once `eq` is
+    * empty `lt` cannot grow, so the walk stops there.
+    */
+  private def rangeSearch(k: Long): (RoaringBitmap, RoaringBitmap) = {
     val lt = new RoaringBitmap()
-    var i  = n - 1
-    while (i >= 0) {
+    if (k <= 0) return (lt, new RoaringBitmap()) // zero = absent, never below or equal
+    val eq = existence.clone()
+    var i  = math.max(numSlices, 64 - java.lang.Long.numberOfLeadingZeros(k)) - 1
+    while (i >= 0 && !eq.isEmpty) {
       val x = slice(i)
       if (((k >> i) & 1L) == 1L) { lt.or(RoaringBitmap.andNot(eq, x)); eq.and(x) }
       else eq.andNot(x)
       i -= 1
     }
-    lt
+    (lt, eq)
   }
 
-  /** Positions with value ≥ k (and value ≠ 0). */
-  def geConst(k: Long): RoaringBitmap = if (k <= 1) existence.clone() else gtConst(k - 1)
+  private def existenceMinus(bm: RoaringBitmap): RoaringBitmap = RoaringBitmap.andNot(existence, bm)
+
+  /** Positions with 0 < value < k. */
+  def ltConst(k: Long): RoaringBitmap = rangeSearch(k)._1
+
+  /** Positions with value = k ≠ 0. */
+  def eqConst(k: Long): RoaringBitmap = rangeSearch(k)._2
 
   /** Positions with 0 < value ≤ k. */
   def leConst(k: Long): RoaringBitmap =
     if (k == Long.MaxValue) existence.clone() else ltConst(k + 1)
 
-  /** Positions with value = k ≠ 0. */
-  def eqConst(k: Long): RoaringBitmap = {
-    if (k <= 0) return new RoaringBitmap() // zero = absent, never "equal"
-    val n  = math.max(numSlices, bitsNeeded(k))
-    val eq = existence.clone()
-    var i  = n - 1
-    while (i >= 0 && !eq.isEmpty) {
-      val x = slice(i)
-      if (((k >> i) & 1L) == 1L) eq.and(x) else eq.andNot(x)
-      i -= 1
-    }
-    eq
-  }
+  /** Positions with value > k; zero (absent) never matches, so `k <= 0` selects all. */
+  def gtConst(k: Long): RoaringBitmap = existenceMinus(leConst(k))
+
+  /** Positions with value ≥ k (and value ≠ 0). */
+  def geConst(k: Long): RoaringBitmap = existenceMinus(ltConst(k))
 
   /** Positions with value ≠ k and value ≠ 0. */
-  def neqConst(k: Long): RoaringBitmap = {
-    val r = existence.clone()
-    r.andNot(eqConst(k))
-    r
-  }
+  def neqConst(k: Long): RoaringBitmap = existenceMinus(eqConst(k))
 
   /** Positions with lo ≤ value ≤ hi (and value ≠ 0). */
   def betweenConst(lo: Long, hi: Long): RoaringBitmap = {
@@ -289,11 +266,16 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
   /** Number of existing (non-zero) positions. */
   def count: Long = existence.getLongCardinality
 
-  /** Σ values = Σ_i 2^i · |slice(i)| — computed without decoding any row. */
+  /** Σ values = Σ_i 2^i · |slice(i)| — computed without decoding any row; a
+    * sum past `Long.MaxValue` throws `ArithmeticException`.
+    */
   def sumValues: Long = {
     var s = 0L
     var i = 0
-    while (i < numSlices) { s += slices(i).getLongCardinality << i; i += 1 }
+    while (i < numSlices) {
+      s = Math.addExact(s, Math.multiplyExact(slices(i).getLongCardinality, 1L << i))
+      i += 1
+    }
     s
   }
 
@@ -302,13 +284,14 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
 
   /** Σ values over the positions in `mask` — the fused form of
     * `andBinary(mask).sumValues` used by sum-after-filter queries: per slice
-    * only an AND-cardinality is computed, nothing is materialized.
+    * only an AND-cardinality is computed, nothing is materialized. Exact, as
+    * `sumValues` is.
     */
   def filteredSum(mask: RoaringBitmap): Long = {
     var s = 0L
     var i = 0
     while (i < numSlices) {
-      s += RoaringBitmap.andCardinality(slices(i), mask).toLong << i
+      s = Math.addExact(s, Math.multiplyExact(RoaringBitmap.andCardinality(slices(i), mask).toLong, 1L << i))
       i += 1
     }
     s
@@ -341,33 +324,10 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
   }
 
   /** Smallest non-zero value; 0 when empty. */
-  def minValue: Long = {
-    if (isEmpty) return 0L
-    var cand = existence.clone()
-    var v = 0L
-    var i = numSlices - 1
-    while (i >= 0) {
-      val without = RoaringBitmap.andNot(cand, slice(i))
-      if (!without.isEmpty) cand = without
-      else v |= (1L << i)
-      i -= 1
-    }
-    v
-  }
+  def minValue: Long = if (isEmpty) 0L else kthSmallest(1)
 
   /** Largest value; 0 when empty. */
-  def maxValue: Long = {
-    if (isEmpty) return 0L
-    var cand = existence.clone()
-    var v = 0L
-    var i = numSlices - 1
-    while (i >= 0) {
-      val withBit = RoaringBitmap.and(cand, slice(i))
-      if (!withBit.isEmpty) { cand = withBit; v |= (1L << i) }
-      i -= 1
-    }
-    v
-  }
+  def maxValue: Long = if (isEmpty) 0L else kthSmallest(count)
 
   /** k-th smallest (1-indexed) among existing values; requires 1 ≤ k ≤ count.
     * Bit-sliced selection: walk slices high→low keeping a candidate set.
@@ -413,9 +373,6 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
     */
   def sizeInBytes: Long = slices.map(_.serializedSizeInBytes().toLong).sum
 
-  /** Run-optimize every slice in place (call once after bulk construction). */
-  private[bsi] def runOptimize(): Unit = slices.foreach(_.runOptimize())
-
   override def equals(o: Any): Boolean = o match {
     case b: BSI => numSlices == b.numSlices && slices.indices.forall(i => slices(i) == b.slices(i))
     case _      => false
@@ -432,9 +389,8 @@ object BSI {
   /** The empty BSI (every value zero / absent). */
   val empty: BSI = new BSI(Array.empty)
 
-  /** Build from `(position, value)` pairs. Duplicate positions overwrite; zero
-    * values are dropped (zero = absent). See [[BSIBuilder]] for the additive
-    * variant used by aggregation.
+  /** Build from `(position, value)` pairs through [[BSIBuilder]]: repeated
+    * positions sum; zero values are dropped (zero = absent).
     */
   def fromPairs(pairs: IterableOnce[(Int, Long)]): BSI = {
     val b = new BSIBuilder
@@ -446,10 +402,17 @@ object BSI {
   def fromBitmap(bits: RoaringBitmap): BSI =
     if (bits.isEmpty) empty else new BSI(Array(bits.clone()))
 
-  /** Take ownership of `raw` slices (no clone); trims trailing empties. */
+  /** Most slices a BSI can have: values are non-negative `Long`s. */
+  private[bsi] val MaxSlices = 63
+
+  /** Take ownership of `raw` slices (no clone); trims trailing empties. A value
+    * that needs a 64th slice throws `ArithmeticException`.
+    */
   private[bsi] def fromSlices(raw: Array[RoaringBitmap]): BSI = {
     var n = raw.length
     while (n > 0 && raw(n - 1).isEmpty) n -= 1
+    if (n > MaxSlices)
+      throw new ArithmeticException(s"BSI value overflows a Long: it needs $n slices, at most $MaxSlices fit")
     if (n == 0) empty else new BSI(raw.take(n))
   }
 }

@@ -38,12 +38,4 @@ object BSIAggregates {
     */
   def distinctPos(x: BSI, y: BSI): BSI =
     BSI.fromBitmap(RoaringBitmap.or(x.existence, y.existence))
-
-  /** n-ary fold helpers (left folds of the binary combinators). */
-  def sumAll(bsis: IterableOnce[BSI]): BSI = bsis.iterator.foldLeft(BSI.empty)(sumBSI)
-  def distinctPosAll(bsis: IterableOnce[BSI]): BSI = {
-    val acc = new RoaringBitmap()
-    bsis.iterator.foreach(b => acc.or(b.existence))
-    BSI.fromBitmap(acc)
-  }
 }

@@ -1,101 +1,86 @@
 package repro.bsi
 
-import org.roaringbitmap.RoaringBitmap
+import org.roaringbitmap.{RoaringBitmap, RoaringBitmapWriter}
 
-/** Mutable accumulator for building a [[BSI]] from `(position, value)` rows.
+/** Append buffer for building a [[BSI]] from `(position, value)` rows.
   *
-  * `put` assumes each position is seen once (the common case after position
-  * encoding: one row per analysis unit) and just sets the value's bits —
-  * O(popcount) per row. `addTo` handles repeated positions by summing, which is
-  * what a grouped `bsi_build` aggregation needs when the same unit contributes
-  * several rows (e.g. page-view-level raw rows rolled up to a unit).
+  * `put` and `merge` only append; `result()` sorts the rows by position once,
+  * sums each run of equal positions (a unit that contributes several rows,
+  * e.g. page-view-level raw rows rolled up to a unit) and writes every slice
+  * in position order with Roaring's ordered-append writer.
   *
-  * Java-serializable (RoaringBitmap is Externalizable) so it can serve as a
-  * Spark `Aggregator` buffer; serialization only happens at shuffle boundaries.
+  * Java-serializable so it can serve as a Spark `Aggregator` buffer;
+  * serialization only happens at shuffle boundaries.
   */
 final class BSIBuilder extends Serializable {
-  private var slices = new Array[RoaringBitmap](8)
-  private var top    = 0 // number of slice cells in use
+  private var positions = new Array[Int](16)
+  private var values    = new Array[Long](16)
+  private var n         = 0 // rows in use
 
-  private def ensure(n: Int): Unit = {
-    if (n > slices.length) {
-      val grown = new Array[RoaringBitmap](math.max(n, slices.length * 2))
-      System.arraycopy(slices, 0, grown, 0, top)
-      slices = grown
+  private def ensure(cap: Int): Unit =
+    if (cap > positions.length) {
+      val grown = math.max(cap, positions.length * 2)
+      positions = java.util.Arrays.copyOf(positions, grown)
+      values = java.util.Arrays.copyOf(values, grown)
     }
-    while (top < n) { slices(top) = new RoaringBitmap(); top += 1 }
-  }
 
-  /** Set `pos` to `value`, assuming `pos` was not added before. Zero is a no-op. */
+  /** Add `value` at `pos`; repeated positions sum. Zero is a no-op. */
   def put(pos: Int, value: Long): this.type = {
     require(value >= 0, s"BSI values are non-negative; got $value at pos $pos")
-    if (value == 0) return this
-    ensure(64 - java.lang.Long.numberOfLeadingZeros(value))
-    var v = value
-    while (v != 0) {
-      val i = java.lang.Long.numberOfTrailingZeros(v)
-      slices(i).add(pos)
-      v &= v - 1
+    if (value != 0) {
+      ensure(n + 1)
+      positions(n) = pos
+      values(n) = value
+      n += 1
     }
     this
   }
 
-  /** Current value at `pos` (for additive accumulation). */
-  def get(pos: Int): Long = {
-    var v = 0L
-    var i = 0
-    while (i < top) {
-      if (slices(i).contains(pos)) v |= (1L << i)
-      i += 1
-    }
-    v
-  }
-
-  /** Add `value` to whatever `pos` currently holds (read–modify–write). */
-  def addTo(pos: Int, value: Long): this.type = {
-    require(value >= 0, s"BSI values are non-negative; got $value at pos $pos")
-    if (value == 0) return this
-    val old = get(pos)
-    if (old == 0) return put(pos, value)
-    var i = 0
-    while (i < top) { slices(i).remove(pos); i += 1 }
-    put(pos, old + value)
-  }
-
-  private def existenceBm: RoaringBitmap = {
-    val ex = new RoaringBitmap()
-    var i = 0
-    while (i < top) { ex.or(slices(i)); i += 1 }
-    ex
-  }
-
-  /** Fold another builder in, summing on colliding positions. Disjoint
-    * positions (the common case across Spark partitions) merge by slice-wise
-    * OR; only colliding positions pay the read–modify–write path.
-    */
+  /** Append another builder's rows; colliding positions sum in `result()`. */
   def merge(that: BSIBuilder): this.type = {
-    val collide = RoaringBitmap.and(this.existenceBm, that.existenceBm)
-    ensure(that.top)
-    var i = 0
-    while (i < that.top) {
-      if (collide.isEmpty) slices(i).or(that.slices(i))
-      else slices(i).or(RoaringBitmap.andNot(that.slices(i), collide))
-      i += 1
-    }
-    val it = collide.iterator()
-    while (it.hasNext) {
-      val p = it.next()
-      addTo(p, that.get(p))
-    }
+    ensure(n + that.n)
+    System.arraycopy(that.positions, 0, positions, n, that.n)
+    System.arraycopy(that.values, 0, values, n, that.n)
+    n += that.n
     this
   }
 
-  /** Finish: run-optimized immutable BSI. The builder may be reused afterwards
-    * only via fresh `put`s on new positions (slices are handed over, not copied).
+  /** Finish: run-optimized immutable BSI; a sum past `Long.MaxValue` throws
+    * `ArithmeticException`. The builder is left unchanged.
     */
   def result(): BSI = {
-    val bsi = BSI.fromSlices(java.util.Arrays.copyOf(slices, top))
-    bsi.runOptimize()
-    bsi
+    // one sort of `pos << 32 | row`: equal positions become adjacent runs
+    val order = new Array[Long](n)
+    var i = 0
+    while (i < n) { order(i) = positions(i).toLong << 32 | i; i += 1 }
+    java.util.Arrays.sort(order)
+    val writers = new Array[RoaringBitmapWriter[RoaringBitmap]](BSI.MaxSlices)
+    var top = 0
+    i = 0
+    while (i < n) {
+      val pos = (order(i) >> 32).toInt
+      var v   = values(order(i).toInt)
+      i += 1
+      while (i < n && (order(i) >> 32).toInt == pos) { v = Math.addExact(v, values(order(i).toInt)); i += 1 }
+      top = math.max(top, 64 - java.lang.Long.numberOfLeadingZeros(v))
+      while (v != 0) {
+        val s = java.lang.Long.numberOfTrailingZeros(v)
+        if (writers(s) == null) writers(s) = RoaringBitmapWriter.writer().get()
+        writers(s).add(pos)
+        v &= v - 1
+      }
+    }
+    BSI.fromSlices(Array.tabulate(top) { s =>
+      val bm = if (writers(s) == null) new RoaringBitmap() else writers(s).get()
+      bm.runOptimize()
+      bm
+    })
+  }
+
+  // only the rows in use cross a shuffle
+  private def writeObject(out: java.io.ObjectOutputStream): Unit = {
+    positions = java.util.Arrays.copyOf(positions, n)
+    values = java.util.Arrays.copyOf(values, n)
+    out.defaultWriteObject()
   }
 }

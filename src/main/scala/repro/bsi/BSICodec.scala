@@ -27,8 +27,8 @@ object BSICodec {
   }
 
   /** Deserialize; `null` and zero-length input decode to `BSI.empty`. Slices
-    * are read from a `ByteBuffer` over `bytes`; a negative slice count,
-    * truncated input or trailing bytes throw `IllegalArgumentException`.
+    * are read from a `ByteBuffer` over `bytes`; a slice count below 0 or above
+    * 63, truncated input or trailing bytes throw `IllegalArgumentException`.
     */
   def deserialize(bytes: Array[Byte]): BSI = {
     if (bytes == null || bytes.isEmpty) return BSI.empty
@@ -36,6 +36,7 @@ object BSICodec {
     val buf = ByteBuffer.wrap(bytes)
     val n   = buf.getInt()
     require(n >= 0, s"negative BSI slice count $n")
+    require(n <= BSI.MaxSlices, s"BSI slice count $n above ${BSI.MaxSlices}: values are non-negative Longs")
     // a serialized slice takes at least 8 bytes (cookie + container count)
     require(n <= buf.remaining / 8, s"BSI bytes truncated: $n slices cannot fit in ${buf.remaining} bytes")
     val slices = Array.fill(n) {

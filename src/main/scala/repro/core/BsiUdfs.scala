@@ -13,12 +13,14 @@ import repro.bsi.{BSI, BSIAggregates, BSIBuilder, BSICodec}
   *
   * Registered names (all BSI arguments are the codec's byte arrays):
   *
-  *   - `bsi_build(pos, value)`           UDAF: rows → BSI (position encoding assumed done)
+  *   - `bsi_build(pos, value)`           UDAF: rows → BSI, repeated positions summed
+  *                                       (position encoding assumed done)
   *   - `bsi_sum_agg(b)`                  UDAF: sumBSI over a group
   *   - `bsi_mul_agg(b)`                  UDAF: mulBSI over a group (dimension-filter conjunction)
   *   - `bsi_max_agg(b)`                  UDAF: maxBSI over a group
   *   - `bsi_distinct_pos_agg(b)`         UDAF: distinctPos over a group
-  *   - `bsi_add(a, b)`, `bsi_mul(a, b)`  row-wise arithmetic (§2.3)
+  *   - `bsi_add(a, b)`, `bsi_mul(a, b)`, `bsi_sub(a, b)`
+  *                                       row-wise arithmetic (§2.3); a result past 63 bits throws
   *   - `bsi_cmp(a, op, b)`               row-wise comparison → binary BSI (Algorithms 1–3)
   *   - `bsi_cmp_const(a, op, k)`         comparison against a constant → binary BSI
   *   - `bsi_exposed_sum(v, offset, op, k)` fused scorecard cell (§4.2): struct of
@@ -43,7 +45,7 @@ object BsiUdfs {
     def reduce(b: BSIBuilder, in: (Long, Long)): BSIBuilder = {
       if (in._1 < 0 || in._1 > Int.MaxValue)
         throw new IllegalArgumentException(s"position ${in._1} outside [0, ${Int.MaxValue}]")
-      b.addTo(in._1.toInt, in._2)
+      b.put(in._1.toInt, in._2)
     }
     def merge(a: BSIBuilder, b: BSIBuilder): BSIBuilder = a.merge(b)
     def finish(b: BSIBuilder): Array[Byte] = BSICodec.serialize(b.result())
@@ -122,7 +124,5 @@ object BsiUdfs {
     spark.udf.register("bsi_median", (a: Array[Byte]) => de(a).median)
     spark.udf.register("bsi_ntile", (a: Array[Byte], q: Double) => de(a).ntile(q))
     spark.udf.register("bsi_get", (a: Array[Byte], pos: Int) => de(a).get(pos))
-    spark.udf.register("bsi_num_slices", (a: Array[Byte]) => de(a).numSlices)
-    spark.udf.register("bsi_size_bytes", (a: Array[Byte]) => de(a).sizeInBytes)
   }
 }

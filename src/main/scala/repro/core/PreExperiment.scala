@@ -35,11 +35,10 @@ object PreExperiment {
     * into [[Stats.BucketedMetric]]s keyed by (strategy, metric).
     */
   def collectBucketed(bucketValues: DataFrame, nBuckets: Int,
-                      bucketCol: String = "bucket_id",
                       firstBucketId: Int = 1): Map[(Long, Int), Stats.BucketedMetric] =
     bucketValues
       .select(col("strategy_id").cast("long"), col("metric_id").cast("int"),
-              col(bucketCol).cast("int"), col("bucket_sum").cast("long"),
+              col("bucket_id").cast("int"), col("bucket_sum").cast("long"),
               col("exposed_cnt").cast("long"))
       .collect()
       .groupBy((r: Row) => (r.getLong(0), r.getInt(1)))

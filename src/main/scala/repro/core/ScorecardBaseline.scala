@@ -10,15 +10,11 @@ import org.apache.spark.sql.functions._
   */
 object ScorecardBaseline {
 
-  /** Per-bucket sums and exposed counts from normal-format logs.
-    *
-    * `bucketCol` selects the replication grain: pass `"bucket_id"` for true
-    * bucketing, or `"segment_id"`-like hashing is emulated by joining the
-    * dictionary upstream. For the §4.2 simple case the expose log's
-    * `bucket_id` column is the segment id of the unit.
+  /** Per-bucket sums and exposed counts from normal-format logs, at the grain
+    * of the expose log's `bucket_id`. For the §4.2 simple case callers join the
+    * dictionary upstream and set `bucket_id` to the unit's segment id.
     */
-  def bucketValues(exposeLog: DataFrame, metricLog: DataFrame, dates: Seq[Int],
-                   bucketCol: String = "bucket_id"): DataFrame = {
+  def bucketValues(exposeLog: DataFrame, metricLog: DataFrame, dates: Seq[Int]): DataFrame = {
     val spark = exposeLog.sparkSession
     import spark.implicits._
     val datesDf = dates.toDF("d")
@@ -26,13 +22,13 @@ object ScorecardBaseline {
     val counts = exposeLog
       .crossJoin(datesDf)
       .where(col("first_expose_date") <= col("d"))
-      .groupBy(col("strategy_id"), col("d").as("date"), col(bucketCol).as("bucket_id"))
+      .groupBy(col("strategy_id"), col("d").as("date"), col("bucket_id"))
       .agg(count(lit(1)).as("exposed_cnt"))
     // metric sums over exposed units per (strategy, metric, date, bucket)
     val sums = exposeLog
       .join(metricLog, "unit_id")
       .where(col("first_expose_date") <= col("date"))
-      .groupBy(col("strategy_id"), col("metric_id"), col("date"), col(bucketCol).as("bucket_id"))
+      .groupBy(col("strategy_id"), col("metric_id"), col("date"), col("bucket_id"))
       .agg(sum(col("value")).as("bucket_sum"))
     // a bucket can have exposed units but no metric rows → sum 0
     val metricIds = metricLog.select("metric_id").distinct()

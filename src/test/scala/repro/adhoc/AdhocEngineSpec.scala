@@ -76,6 +76,14 @@ class AdhocEngineSpec extends AnyFunSuite {
     assert(cells.head.exposedCnt == 1L)
   }
 
+  test("queryBsi names a missing expose BSI") {
+    val eng = new AdhocEngine(2, nThreads = 2)
+    eng.loadExposeBsi(0, 5L, 1, toBsi(Map(0 -> 1L))) // nothing loaded for segment 1
+    val e = intercept[java.util.concurrent.ExecutionException](eng.queryBsi(Seq(5L), Seq(7), Seq(1)))
+    assert(e.getCause.isInstanceOf[NoSuchElementException], e)
+    assert(e.getCause.getMessage.contains("segment 1, strategy 5"), e.getMessage)
+  }
+
   test("queryNormal names a missing expose bitmap") {
     val eng = new AdhocEngine(2, nThreads = 2)
     for (seg <- 0 until 2) eng.loadExposeBsi(seg, 5L, 1, toBsi(Map(0 -> 1L, 1 -> 2L)))

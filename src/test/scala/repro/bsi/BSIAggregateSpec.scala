@@ -47,6 +47,13 @@ class BSIAggregateSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](BSI.empty.kthSmallest(1))
   }
 
+  test("sums past Long.MaxValue throw instead of wrapping") {
+    val b = BSI.fromPairs((0 until 8).map(_ -> (1L << 61))) // 8 × 2^61 = 2^64
+    intercept[ArithmeticException](b.sumValues)
+    intercept[ArithmeticException](b.filteredSum(b.existence))
+    intercept[ArithmeticException](BSI.fromPairs(Seq(0 -> Long.MaxValue, 0 -> 1L)))
+  }
+
   test("duplicate values: kthSmallest handles ties") {
     val b = BSI.fromPairs(Seq(1 -> 5L, 2 -> 5L, 3 -> 5L, 4 -> 1L, 5 -> 9L))
     assert(b.kthSmallest(1) == 1L)
@@ -74,14 +81,6 @@ class BSIAggregateSpec extends AnyFunSuite {
     val y = BSI.fromPairs(Seq(1 -> 6L, 3 -> 2L))
     val m = BSIAggregates.maxBSI(x, y)
     assert(bsiToRef(m) == Map(1 -> 6L, 2 -> 10L, 3 -> 2L))
-  }
-
-  test("sumAll / distinctPosAll fold n-ary") {
-    val refs = (0 until 5).map(s => random(s + 500, 100, 1000, 100L))
-    val bsis = refs.map(toBsi)
-    assert(bsiToRef(BSIAggregates.sumAll(bsis)) == refs.reduce(add))
-    assert(bsiToRef(BSIAggregates.distinctPosAll(bsis)) ==
-      refs.map(_.keySet).reduce(_ ++ _).map(_ -> 1L).toMap)
   }
 
   test("distinctPos drives unique-visitor counting across days (§4.2)") {

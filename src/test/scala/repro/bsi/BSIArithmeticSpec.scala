@@ -66,6 +66,18 @@ class BSIArithmeticSpec extends AnyFunSuite {
     assert(b.numSlices == 9)
   }
 
+  test("add past 63 bits throws instead of wrapping") {
+    val max = BSI.fromPairs(Seq(0 -> Long.MaxValue))
+    intercept[ArithmeticException](max.add(max))
+  }
+
+  test("multiply past 63 bits throws instead of wrapping: 2^40 · 2^40") {
+    val b = BSI.fromPairs(Seq(0 -> (1L << 40)))
+    intercept[ArithmeticException](b.multiply(b))
+    intercept[ArithmeticException](b.shiftSlices(23))
+    assert(b.shiftSlices(22).get(0) == 1L << 62)
+  }
+
   test("subtract exact inverse when no underflow: (x + y) - y = x") {
     val rx = random(31, 300, 2000, 1 << 16)
     val ry = random(32, 300, 2000, 1 << 16)

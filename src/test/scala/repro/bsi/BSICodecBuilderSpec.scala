@@ -59,6 +59,17 @@ class BSICodecBuilderSpec extends AnyFunSuite {
     assert(decodeError(Array[Byte](-1, -1, -1, -2)).contains("negative BSI slice count -2"))
   }
 
+  test("codec rejects a slice count above 63") {
+    // 63 empty slices under a non-empty 64th: a value of 2^63, past a Long
+    val bos = new java.io.ByteArrayOutputStream()
+    val out = new java.io.DataOutputStream(bos)
+    out.writeInt(64)
+    (0 until 63).foreach(_ => new RoaringBitmap().serialize(out))
+    RoaringBitmap.bitmapOf(0).serialize(out)
+    out.flush()
+    assert(decodeError(bos.toByteArray).contains("slice count 64 above 63"))
+  }
+
   test("codec rejects truncated input") {
     val bytes = BSICodec.serialize(toBsi(random(5, 2000, 100000, 1L << 20)))
     assert(decodeError(bytes.take(3)).contains("no slice-count header"))
@@ -91,19 +102,40 @@ class BSICodecBuilderSpec extends AnyFunSuite {
     assert(back.count == b.count) // existence cache rebuilds after deserialization
   }
 
-  test("builder put assigns, addTo accumulates") {
+  test("builder put sums repeated positions") {
     val b = new BSIBuilder
     b.put(1, 5L).put(2, 7L)
-    b.addTo(1, 3L)   // 5 + 3
-    b.addTo(3, 11L)  // fresh position via addTo
+    b.put(1, 3L)   // 5 + 3
+    b.put(3, 11L)
     val r = b.result()
     assert(bsiToRef(r) == Map(1 -> 8L, 2 -> 7L, 3 -> 11L))
+    assert(bsiToRef(BSI.fromPairs(Seq(1 -> 5L, 1 -> 2L))) == Map(1 -> 7L))
+    assert(bsiToRef(BSI.fromPairs(Seq(1 -> 5L, 1 -> 3L))) == Map(1 -> 8L)) // not 5 | 3 = 7
   }
 
-  test("builder addTo with zero is a no-op") {
+  test("builder put with zero is a no-op") {
     val b = new BSIBuilder
-    b.put(1, 5L).addTo(1, 0L).addTo(9, 0L)
+    b.put(1, 5L).put(1, 0L).put(9, 0L)
     assert(bsiToRef(b.result()) == Map(1 -> 5L))
+  }
+
+  test("builder slices are byte-identical to bitmapOf + runOptimize slices") {
+    val shapes = Seq(random(81, 400, 70000, 1L), random(82, 3000, 1 << 20, 1L << 30),
+                     (0 until 200000).map(p => p -> (p / 1000 % 5 + 1L)).toMap, // run containers
+                     (0 until 70000).map(p => p * 3 -> (p % 7 + 1L)).toMap)     // bitmap containers
+    for (r <- shapes) {
+      val top = 64 - java.lang.Long.numberOfLeadingZeros(r.values.max)
+      val bos = new java.io.ByteArrayOutputStream()
+      val out = new java.io.DataOutputStream(bos)
+      out.writeInt(top)
+      for (i <- 0 until top) {
+        val bm = RoaringBitmap.bitmapOf(r.collect { case (p, v) if (v >> i & 1L) == 1L => p }.toSeq.sorted: _*)
+        bm.runOptimize()
+        bm.serialize(out)
+      }
+      out.flush()
+      assert(BSICodec.serialize(toBsi(r)).sameElements(bos.toByteArray), s"${toBsi(r)}")
+    }
   }
 
   test("builder merge sums colliding positions, unions disjoint ones") {
@@ -132,7 +164,7 @@ class BSICodecBuilderSpec extends AnyFunSuite {
     new java.io.ObjectOutputStream(bos).writeObject(b)
     val back = new java.io.ObjectInputStream(
       new java.io.ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[BSIBuilder]
-    back.addTo(5, 1L)
+    back.put(5, 1L)
     assert(bsiToRef(back.result()) == Map(5 -> 124L, 9 -> 7L))
   }
 

@@ -44,6 +44,22 @@ class BSIPropertySpec extends AnyFunSuite {
     })
   }
 
+  test("property: builder sums repeated positions, in any order, across merged builders") {
+    val genRows = for {
+      u    <- Gen.oneOf(1, 50, 5000, 1 << 20)
+      mx   <- Gen.oneOf(1L, 100L, 1L << 40)
+      rows <- Gen.listOf(Gen.zip(Gen.choose(0, u - 1), Gen.choose(0L, mx)))
+      cut  <- Gen.choose(0, rows.size)
+    } yield (rows, cut)
+    check(Prop.forAll(genRows) { case (rows, cut) =>
+      val (a, b) = (new BSIBuilder, new BSIBuilder)
+      rows.take(cut).foreach { case (p, v) => a.put(p, v) }
+      rows.drop(cut).foreach { case (p, v) => b.put(p, v) }
+      val expected = rows.groupMapReduce(_._1)(_._2)(_ + _).filter(_._2 != 0L)
+      bsiToRef(a.merge(b).result()) == expected
+    })
+  }
+
   test("property: lt/eq/gt partition the both-exist positions") {
     check(Prop.forAll(genRef, genRef) { (x, y) =>
       val (bx, by) = (toBsi(x), toBsi(y))
@@ -55,7 +71,9 @@ class BSIPropertySpec extends AnyFunSuite {
   }
 
   test("property: constant comparisons match reference for arbitrary k") {
-    val genK = Gen.oneOf(Gen.choose(0L, 10L), Gen.choose(0L, 1L << 26))
+    val genK = Gen.oneOf(Gen.choose(-5L, 10L), Gen.choose(0L, 1L << 26),
+                         Gen.oneOf(Long.MinValue, 0L, Long.MaxValue - 1, Long.MaxValue),
+                         Gen.choose((1L << 62) - 2, (1L << 62) + 2))
     check(Prop.forAll(genRef, genK) { (x, k) =>
       val b = toBsi(x)
       bitmapToSet(b.ltConst(k)) == compareConst(x, k, _ < _) &&
