@@ -279,8 +279,10 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
     s
   }
 
-  /** Mean over existing positions; NaN when empty. */
-  def avgValue: Double = if (isEmpty) Double.NaN else sumValues.toDouble / count
+  /** Mean over existing positions; NaN when empty. Exact past a `Long` sum, as `toString` is. */
+  def avgValue: Double = if (isEmpty) Double.NaN else exactSum.toDouble / count
+
+  private def exactSum: BigInt = slices.indices.map(i => BigInt(slices(i).getLongCardinality) << i).sum
 
   /** Σ values over the positions in `mask` — the fused form of
     * `andBinary(mask).sumValues` used by sum-after-filter queries: per slice
@@ -378,8 +380,7 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
     case _      => false
   }
   override def hashCode: Int = slices.toSeq.hashCode()
-  override def toString: String =
-    s"BSI(slices=$numSlices, count=$count, sum=${if (numSlices < 60) sumValues else "?"})"
+  override def toString: String = s"BSI(slices=$numSlices, count=$count, sum=$exactSum)"
 }
 
 /** Constructors for [[BSI]]. */

@@ -21,15 +21,10 @@ object PreExperiment {
       .agg(expr("bsi_sum_agg(value_bsi)").as("value_bsi"))
 
   /** Per-bucket pre-period sums in the simple segment=bucket case: every
-    * exposed unit passes the filter (`expose-date <= someday` with someday at
-    * or after the last expose day), so the filter is the offset existence.
+    * exposed unit passes the filter (`offset <= Long.MaxValue`).
     */
   def bucketValuesSimple(exposeBsi: DataFrame, preSum: DataFrame): DataFrame =
-    preSum
-      .join(broadcast(exposeBsi), "segment_id")
-      .withColumn("cell", expr("bsi_exposed_sum(value_bsi, offset_bsi, '>=', 1)")) // all exposed units
-      .select(col("strategy_id"), col("metric_id"), col("segment_id").as("bucket_id"),
-              col("cell._1").as("bucket_sum"), col("cell._2").as("exposed_cnt"))
+    Scorecard.exposedCells(exposeBsi, preSum, lit(Long.MaxValue))
 
   /** Collect a bucket-values DataFrame (strategy, metric, bucket, sum, cnt)
     * into [[Stats.BucketedMetric]]s keyed by (strategy, metric).

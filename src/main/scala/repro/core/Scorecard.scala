@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Scorecard computation on the BSI representation (§4.2).
@@ -20,16 +20,11 @@ object Scorecard {
 
   /** The common case where segmentation and bucketing coincide (§4.2's demo):
     * the segment id *is* the bucket id, so each joined (strategy, metric,
-    * date, segment) row yields exactly one bucket row, scored by the fused
-    * `bsi_exposed_sum` cell.
+    * date, segment) row yields exactly one bucket row.
     */
   def bucketValuesSimple(exposeBsi: DataFrame, metricBsi: DataFrame,
                          dates: Seq[Int]): DataFrame =
-    joinExpose(exposeBsi, metricBsi, dates)
-      .withColumn("cell",
-        expr("bsi_exposed_sum(value_bsi, offset_bsi, '<=', cast(date - min_expose_date + 1 as bigint))"))
-      .select(col("strategy_id"), col("metric_id"), col("date"), col("segment_id").as("bucket_id"),
-              col("cell._1").as("bucket_sum"), col("cell._2").as("exposed_cnt"))
+    exposedCells(exposeBsi, metricBsi.where(col("date").isin(dates: _*)), dayOffset, col("date"))
 
   /** The general case (§4.2, segment ≠ bucket): each joined row is split into
     * per-bucket partial sums by the fused `bsi_bucket_exposed_sum` cell, then
@@ -40,19 +35,25 @@ object Scorecard {
                            dates: Seq[Int], nBuckets: Int): DataFrame = {
     // ids start at 1 by construction: bucket 0 would be absent from the BSI
     val bucketId = udf { (id: Long) => require(id <= nBuckets, s"bucket id $id outside 1..$nBuckets"); id.toInt }
-    joinExpose(exposeBsi, metricBsi, dates)
-      .withColumn("bs", expr("explode(bsi_bucket_exposed_sum(value_bsi, offset_bsi, '<=', " +
-        "cast(date - min_expose_date + 1 as bigint), bucket_bsi))"))
+    metricBsi.where(col("date").isin(dates: _*)).join(broadcast(exposeBsi), "segment_id")
+      .withColumn("bs", explode(call_udf("bsi_bucket_exposed_sum", col("value_bsi"), col("offset_bsi"),
+                                         dayOffset, col("bucket_bsi"))))
       .groupBy(col("strategy_id"), col("metric_id"), col("date"), bucketId(col("bs._1")).as("bucket_id"))
       .agg(sum(col("bs._2")).as("bucket_sum"), sum(col("bs._3")).as("exposed_cnt"))
   }
 
-  /** Metric BSIs of `dates` joined to their segment's expose BSIs. The expose
-    * side (one row per segment × strategy) is broadcast, so the UDFs run in the
-    * metric side's (segment × metric × date) partitions with no shuffle.
+  /** A scored day's expose bound: `expose-date <= date ⇔ offset <= k`. */
+  private def dayOffset: Column = expr("cast(date - min_expose_date + 1 as bigint)")
+
+  /** Segment = bucket cells (strategy, metric, `keys`, bucket, sum, count): the
+    * metric BSIs join their segment's expose BSIs by broadcast, so the fused
+    * `bsi_exposed_sum` cell (mask `offset <= k`) runs with no shuffle.
     */
-  private def joinExpose(exposeBsi: DataFrame, metricBsi: DataFrame, dates: Seq[Int]): DataFrame =
-    metricBsi.where(col("date").isin(dates: _*)).join(broadcast(exposeBsi), "segment_id")
+  private[core] def exposedCells(exposeBsi: DataFrame, metricBsi: DataFrame, k: Column, keys: Column*): DataFrame =
+    metricBsi.join(broadcast(exposeBsi), "segment_id")
+      .withColumn("cell", call_udf("bsi_exposed_sum", col("value_bsi"), col("offset_bsi"), k))
+      .select(Seq(col("strategy_id"), col("metric_id")) ++ keys ++ Seq(col("segment_id").as("bucket_id"),
+              col("cell._1").as("bucket_sum"), col("cell._2").as("exposed_cnt")): _*)
 
   /** Roll bucket rows up to one scorecard row per (strategy, metric, date):
     * the metric value `Σ sum / Σ cnt` plus the bucket-replicate moments the

@@ -35,6 +35,7 @@ object Stats {
   def covariance(x: BucketedMetric, y: BucketedMetric): Double = {
     require(x.nBuckets == y.nBuckets, "metrics must share the bucket grid")
     val b  = x.nBuckets
+    require(b >= 2, s"bucket-replicate variance needs at least 2 buckets, got $b")
     val mx = x.mean
     val my = y.mean
     var acc = 0.0
@@ -46,28 +47,39 @@ object Stats {
     acc * b / (b - 1.0) / (x.totalCount * y.totalCount)
   }
 
-  /** Result of a two-sample comparison: absolute/relative movement and the
-    * Welch t-test p-value the scorecard reports.
+  /** Result of a two-sample comparison: the movement and the Welch t-test
+    * p-value the scorecard reports.
     */
-  final case class TTestResult(meanTreatment: Double, meanControl: Double,
-                               delta: Double, relativeDelta: Double,
-                               tStat: Double, df: Double, pValue: Double)
+  final case class TTestResult(meanTreatment: Double, meanControl: Double, delta: Double,
+                               tStat: Double, df: Double, pValue: Double) {
+    /** `delta / meanControl`; a zero control mean throws `ArithmeticException`. */
+    def relativeDelta: Double = if (meanControl != 0) delta / meanControl
+                                else throw new ArithmeticException("relative delta of a zero control mean")
+  }
 
   /** Welch t-test of treatment vs control means with bucket-derived variances
     * (each arm contributes B−1 degrees of freedom via Welch–Satterthwaite).
     */
-  def welchTTest(t: BucketedMetric, c: BucketedMetric): TTestResult = {
-    val mt = t.mean; val mc = c.mean
-    val vt = variance(t); val vc = variance(c)
-    val se = math.sqrt(vt + vc)
-    val tStat = (mt - mc) / se
-    val dfT = t.nBuckets - 1.0
-    val dfC = c.nBuckets - 1.0
-    val df = math.pow(vt + vc, 2) / (vt * vt / dfT + vc * vc / dfC)
-    val p =
-      if (se == 0) 1.0
-      else 2.0 * (1.0 - new TDistribution(math.max(1.0, df)).cumulativeProbability(math.abs(tStat)))
-    TTestResult(mt, mc, mt - mc, (mt - mc) / mc, tStat, df, p)
+  def welchTTest(t: BucketedMetric, c: BucketedMetric): TTestResult =
+    welch(t.mean, variance(t), t, c.mean, variance(c), c)
+
+  /** The one Welch test behind [[welchTTest]] and [[cupedTTest]]. Each arm's
+    * buckets give its exposed count (none throws `IllegalArgumentException`)
+    * and B−1 degrees of freedom. A zero standard error gives `tStat` 0 and
+    * `p` 1 for equal means, else ±∞ and 0; zero variances give `df = dfT + dfC`.
+    */
+  private def welch(meanT: Double, varT: Double, bucketsT: BucketedMetric,
+                    meanC: Double, varC: Double, bucketsC: BucketedMetric): TTestResult = {
+    require(bucketsT.totalCount > 0, "treatment arm has no exposed unit")
+    require(bucketsC.totalCount > 0, "control arm has no exposed unit")
+    val delta = meanT - meanC
+    val v     = varT + varC
+    val (dfT, dfC) = (bucketsT.nBuckets - 1.0, bucketsC.nBuckets - 1.0)
+    val df    = if (v == 0) dfT + dfC else math.pow(v, 2) / (varT * varT / dfT + varC * varC / dfC)
+    val tStat = if (delta == 0) 0.0 else delta / math.sqrt(math.max(0.0, v)) // se = 0 gives ±∞
+    val p = if (tStat.isInfinite) 0.0
+            else 2.0 * (1.0 - new TDistribution(math.max(1.0, df)).cumulativeProbability(math.abs(tStat)))
+    TTestResult(meanT, meanC, delta, tStat, df, p)
   }
 
   /** CUPED adjustment (§4.3, the paper's reference [5]): given the experiment
@@ -101,15 +113,7 @@ object Stats {
     val xBar  = (xT.totalSum + xC.totalSum) / (xT.totalCount + xC.totalCount)
     val (mt, vt) = cupedAdjust(yT, xT, theta, xBar)
     val (mc, vc) = cupedAdjust(yC, xC, theta, xBar)
-    val se = math.sqrt(math.max(0.0, vt + vc))
-    val tStat = if (se == 0) 0.0 else (mt - mc) / se
-    val dfT = yT.nBuckets - 1.0
-    val dfC = yC.nBuckets - 1.0
-    val df = if (vt + vc == 0) 1.0
-             else math.pow(vt + vc, 2) / (vt * vt / dfT + vc * vc / dfC)
-    val p = if (se == 0) 1.0
-            else 2.0 * (1.0 - new TDistribution(math.max(1.0, df)).cumulativeProbability(math.abs(tStat)))
-    TTestResult(mt, mc, mt - mc, (mt - mc) / mc, tStat, df, p)
+    welch(mt, vt, yT, mc, vc, yC)
   }
 
   /** Assemble a [[BucketedMetric]] from sparse `(bucket_id, sum, cnt)` rows on

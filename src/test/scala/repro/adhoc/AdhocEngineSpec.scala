@@ -1,7 +1,7 @@
 package repro.adhoc
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bsi.{BSI, RefModel}
+import repro.bsi.RefModel
 
 /** The ClickHouse-substitute ad-hoc engine: both query methods must agree with
   * each other and with a naive in-memory evaluation.

@@ -54,6 +54,21 @@ class BSIAggregateSpec extends AnyFunSuite {
     intercept[ArithmeticException](BSI.fromPairs(Seq(0 -> Long.MaxValue, 0 -> 1L)))
   }
 
+  // a legal 59-slice BSI whose sum, 32 × 2^58 = 2^63, is one past Long.MaxValue
+  private val pastLong = BSI.fromPairs((0 until 32).map(_ -> (1L << 58)))
+
+  test("avgValue of a sum past Long.MaxValue is the exact mean") {
+    assert(pastLong.avgValue == (1L << 58).toDouble)
+    val fits = BSI.fromPairs(Seq(1 -> (Long.MaxValue - 9), 2 -> 6L, 7 -> 3L)) // sums to Long.MaxValue
+    assert(fits.avgValue == fits.sumValues.toDouble / 3)
+  }
+
+  test("toString prints a sum past Long.MaxValue exactly") {
+    assert(pastLong.toString == "BSI(slices=59, count=32, sum=9223372036854775808)")
+    assert(BSI.fromPairs(Seq(1 -> 5L, 4 -> 7L)).toString == "BSI(slices=3, count=2, sum=12)")
+    assert(BSI.empty.toString == "BSI(slices=0, count=0, sum=0)")
+  }
+
   test("duplicate values: kthSmallest handles ties") {
     val b = BSI.fromPairs(Seq(1 -> 5L, 2 -> 5L, 3 -> 5L, 4 -> 1L, 5 -> 9L))
     assert(b.kthSmallest(1) == 1L)

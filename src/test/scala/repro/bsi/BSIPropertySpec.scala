@@ -3,6 +3,7 @@ package repro.bsi
 import org.roaringbitmap.RoaringBitmap
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.{Failure, Success, Try}
 
 /** ScalaCheck properties over the full operator set — randomized column shapes
   * beyond the fixed seeds of the other suites. (scalatestplus is not on the
@@ -11,8 +12,8 @@ import org.scalatest.funsuite.AnyFunSuite
 class BSIPropertySpec extends AnyFunSuite {
   import RefModel._
 
-  private def check(prop: Prop): Unit = {
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), prop)
+  private def check(prop: Prop, minSuccessfulTests: Int = 60): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(minSuccessfulTests), prop)
     assert(res.passed, res.status.toString)
   }
 
@@ -180,6 +181,89 @@ class BSIPropertySpec extends AnyFunSuite {
       val bm = new org.roaringbitmap.RoaringBitmap()
       keep.foreach(bm.add)
       bsiToRef(toBsi(r).andBinary(bm)) == r.view.filterKeys(keep).toMap
+    })
+  }
+
+  // ---------------------------------------------------------------- edges
+  // Values near 2^62 and 2^63−1 (and near √2^63, so products straddle
+  // Long.MaxValue), positions near Int.MaxValue, one-sided and empty operands.
+
+  private val genEdgeValue: Gen[Long] = Gen.oneOf(
+    Gen.choose(1L, 100L), Gen.choose(3037000490L, 3037000510L),
+    Gen.choose((1L << 62) - 3, (1L << 62) + 3), Gen.choose(Long.MaxValue - 3, Long.MaxValue))
+  private val genEdgePos: Gen[Int] = Gen.oneOf(Gen.choose(0, 40), Gen.choose(Int.MaxValue - 40, Int.MaxValue))
+  private val genEdgeRef: Gen[Ref] =
+    Gen.frequency(1 -> Gen.const(Map.empty[Int, Long]), 5 -> Gen.mapOf(Gen.zip(genEdgePos, genEdgeValue)))
+  private val genEdgePair: Gen[(Ref, Ref)] = for {
+    x <- genEdgeRef; y <- genEdgeRef; vs <- Gen.listOfN(x.size, genEdgeValue); shape <- Gen.choose(0, 4)
+  } yield shape match {
+    case 0 => (x, y)
+    case 1 => (x, x.keys.zip(vs).toMap) // the same positions
+    case 2 => (x, y -- x.keySet)        // one-sided: no shared position
+    case 3 => (x, Map.empty[Int, Long])
+    case _ => (Map.empty[Int, Long], y)
+  }
+
+  /** `got` equals `expected` when every value of the `BigInt` reference fits a
+    * Long, and throws `ArithmeticException` exactly when one does not.
+    */
+  private def exactOrThrows[A](reference: Iterable[BigInt], expected: => A)(got: => A): Boolean = {
+    val fits = reference.forall(_ <= Long.MaxValue)
+    Try(got) match {
+      case Success(v)                      => fits && v == expected
+      case Failure(_: ArithmeticException) => !fits
+      case Failure(e)                      => throw e
+    }
+  }
+
+  private def bitmapOf(ps: Iterable[Int]): RoaringBitmap = { val bm = new RoaringBitmap(); ps.foreach(bm.add); bm }
+
+  test("property (edges): add equals the BigInt reference or throws past Long.MaxValue") {
+    check(Prop.forAll(genEdgePair) { case (x, y) =>
+      val ref = (x.keySet ++ y.keySet).map(p => p -> (BigInt(x.getOrElse(p, 0L)) + BigInt(y.getOrElse(p, 0L)))).toMap
+      exactOrThrows(ref.values, ref.view.mapValues(_.toLong).toMap)(bsiToRef(toBsi(x).add(toBsi(y))))
+    })
+  }
+
+  test("property (edges): multiply equals the BigInt reference or throws past Long.MaxValue") {
+    // few positions, so a product just past Long.MaxValue is often the only overflow
+    check(Prop.forAll(Gen.resize(3, genEdgePair)) { case (x, y) =>
+      val ref = x.keySet.intersect(y.keySet).map(p => p -> BigInt(x(p)) * y(p)).toMap
+      exactOrThrows(ref.values, ref.view.mapValues(_.toLong).toMap)(bsiToRef(toBsi(x).multiply(toBsi(y))))
+    }, minSuccessfulTests = 500)
+  }
+
+  test("property (edges): sumValues and filteredSum equal the BigInt sum or throw past Long.MaxValue") {
+    check(Prop.forAll(genEdgePair) { case (x, y) =>
+      val all    = x.values.map(BigInt(_)).sum
+      val masked = x.view.filterKeys(y.contains).values.map(BigInt(_)).sum
+      exactOrThrows(Seq(all), all.toLong)(toBsi(x).sumValues) &&
+        exactOrThrows(Seq(masked), masked.toLong)(toBsi(x).filteredSum(bitmapOf(y.keySet)))
+    })
+  }
+
+  test("property (edges): codec round-trip is identity") {
+    check(Prop.forAll(genEdgeRef) { r => bsiToRef(BSICodec.deserialize(BSICodec.serialize(toBsi(r)))) == r })
+  }
+
+  test("property (edges): builder sums repeated positions or throws past Long.MaxValue") {
+    val genRows = for {
+      rows <- Gen.listOf(Gen.zip(genEdgePos, genEdgeValue)); cut <- Gen.choose(0, rows.size)
+    } yield (rows, cut)
+    check(Prop.forAll(genRows) { case (rows, cut) =>
+      val (a, b) = (new BSIBuilder, new BSIBuilder)
+      rows.take(cut).foreach { case (p, v) => a.put(p, v) }
+      rows.drop(cut).foreach { case (p, v) => b.put(p, v) }
+      val ref = rows.groupMapReduce(_._1)(r => BigInt(r._2))(_ + _)
+      exactOrThrows(ref.values, ref.view.mapValues(_.toLong).toMap)(bsiToRef(a.merge(b).result()))
+    })
+  }
+
+  test("property (edges): constant comparisons match reference") {
+    val genK = Gen.oneOf(genEdgeValue, Gen.choose(-2L, 2L), Gen.const(Long.MinValue))
+    check(Prop.forAll(genEdgeRef, genK) { (x, k) =>
+      val b = toBsi(x)
+      constOps.forall { case (mask, cmp) => bitmapToSet(mask(b, k)) == compareConst(x, k, cmp) }
     })
   }
 }

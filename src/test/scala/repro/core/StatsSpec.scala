@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import scala.util.Random
+import scala.util.{Failure, Random, Success, Try}
 
 /** Bucket-based variance/covariance, Welch t-tests and CUPED (§3.3, §4.3). */
 class StatsSpec extends AnyFunSuite {
@@ -143,5 +143,82 @@ class StatsSpec extends AnyFunSuite {
   test("fromRows rejects out-of-range buckets") {
     intercept[IllegalArgumentException](fromRows(Seq((5, 1L, 1L)), nBuckets = 4))
     intercept[IllegalArgumentException](fromRows(Seq((0, 1L, 1L)), nBuckets = 4))
+  }
+
+  // ------------------------------------------------------ degenerate arms
+
+  /** An arm whose every unit has value `v`: `units(b)` units in bucket b. */
+  private def flat(v: Double, units: Double*): BucketedMetric =
+    BucketedMetric(units.map(_ * v).toArray, units.toArray)
+
+  test("zero spread, means 3 vs 2: tStat +∞, p 0, df = dfT + dfC") {
+    val (t, c) = (flat(3, 1, 2, 1, 4), flat(2, 2, 2, 3))
+    val x = flat(1, 1, 2, 1, 4)
+    for (r <- Seq(welchTTest(t, c), cupedTTest(t, x, c, flat(1, 2, 2, 3)))) {
+      assert(r.delta == 1.0 && r.tStat == Double.PositiveInfinity, r)
+      assert(r.pValue == 0.0 && r.df == 5.0, r)
+    }
+    assert(welchTTest(c, t).tStat == Double.NegativeInfinity)
+  }
+
+  test("equal means with zero spread: tStat 0, p 1, df = dfT + dfC") {
+    val r = welchTTest(flat(2, 1, 3), flat(2, 4, 1, 1))
+    assert(r.delta == 0.0 && r.tStat == 0.0 && r.pValue == 1.0 && r.df == 3.0, r)
+  }
+
+  test("one-bucket arms throw IllegalArgumentException") {
+    val (one, many) = (BucketedMetric(Array(5.0), Array(2.0)), flat(1, 1, 2, 3))
+    intercept[IllegalArgumentException](variance(one))
+    intercept[IllegalArgumentException](welchTTest(one, many))
+    intercept[IllegalArgumentException](welchTTest(many, one))
+    intercept[IllegalArgumentException](cupedTTest(one, one, many, many))
+  }
+
+  test("an arm with no exposed unit throws IllegalArgumentException naming it") {
+    val (none, some) = (flat(0, 0, 0, 0), BucketedMetric(Array(3.0, 1.0, 4.0), Array(1.0, 1.0, 2.0)))
+    for ((r, arm) <- Seq((() => welchTTest(some, none), "control"), (() => welchTTest(none, some), "treatment"),
+                         (() => cupedTTest(some, some, none, none), "control"))) {
+      val e = intercept[IllegalArgumentException](r())
+      assert(e.getMessage.contains(arm), e.getMessage)
+    }
+  }
+
+  test("a zero control mean: relativeDelta throws ArithmeticException") {
+    val r = welchTTest(BucketedMetric(Array(3.0, 1.0, 4.0), Array(1.0, 1.0, 2.0)), flat(0, 2, 1, 3))
+    assert(r.meanControl == 0.0 && r.pValue < 1.0)
+    intercept[ArithmeticException](r.relativeDelta)
+  }
+
+  test("cupedTTest with an all-zero covariate equals welchTTest field for field") {
+    for (seed <- 0 until 5) {
+      val (t, _) = simulate(5000, 16 + seed, 300L + seed, _.nextDouble() + 0.05 * seed)
+      val (c, _) = simulate(4000, 16 + 2 * seed, 400L + seed, _.nextDouble())
+      def zero(m: BucketedMetric) = BucketedMetric(new Array[Double](m.nBuckets), m.counts)
+      assert(cupedTTest(t, zero(t), c, zero(c)) == welchTTest(t, c))
+    }
+  }
+
+  test("no TTestResult field is NaN for any input that does not throw") {
+    val rnd = new Random(7)
+    // 1..4 buckets of 0..6 units; a bucket's sum is its units × one of 0, 1, 2
+    // (often the same for all buckets: zero spread), or a random total
+    def arm(nB: Int, perUnit: Int): BucketedMetric = {
+      val units = Array.fill(nB)(rnd.nextInt(7).toDouble * rnd.nextInt(2))
+      BucketedMetric(units.map(n => if (rnd.nextBoolean()) n * perUnit else n * rnd.nextInt(5)), units)
+    }
+    var tested = 0
+    for (_ <- 0 until 3000) {
+      val (nT, nC) = (1 + rnd.nextInt(4), 1 + rnd.nextInt(4))
+      val (yT, yC) = (arm(nT, rnd.nextInt(3)), arm(nC, rnd.nextInt(3)))
+      def onGrid(y: BucketedMetric) = BucketedMetric(y.counts.map(_ * rnd.nextInt(3)), y.counts)
+      for (attempt <- Seq(Try(welchTTest(yT, yC)), Try(cupedTTest(yT, onGrid(yT), yC, onGrid(yC))))) attempt match {
+        case Success(r) =>
+          tested += 1
+          assert(!r.productIterator.exists(_.asInstanceOf[Double].isNaN), r)
+          assert(Try(r.relativeDelta).fold(_.isInstanceOf[ArithmeticException], !_.isNaN), r)
+        case Failure(e) => assert(e.isInstanceOf[IllegalArgumentException], e)
+      }
+    }
+    assert(tested > 1000, s"only $tested inputs did not throw")
   }
 }

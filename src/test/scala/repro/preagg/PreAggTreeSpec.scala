@@ -1,7 +1,7 @@
 package repro.preagg
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bsi.{BSI, BSIAggregates}
+import repro.bsi.BSIAggregates
 import repro.bsi.RefModel
 
 /** Pre-aggregate tree (Fig. 6): every range query must equal the direct fold
