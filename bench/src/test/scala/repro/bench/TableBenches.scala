@@ -46,7 +46,7 @@ class Table4Bench extends SparkSpec {
 
 class Table56Bench extends SparkSpec {
   test("Tables 5 & 6: typical metrics and single-core two-day sums") {
-    val r = Table56Eval.run(scale = 0.5, warmup = 2, reps = 5)
+    val r = Table56Eval.run(scale = 0.5)
     println("\n=== Table 5 ===")
     println(r.table5)
     println("\n=== Table 6 ===")

@@ -95,7 +95,7 @@ object ScorecardJob {
     val bv = Scorecard.bucketValuesSimple(
       BsiConvert.exposeLogToBsi(expose, dict),
       BsiConvert.metricLogToBsi(metric, dict), Seq(6))
-    val byKey = PreExperiment.collectBucketed(bv, nSeg, firstBucketId = 0)
+    val byKey = PreExperiment.collectBucketed(bv, nSeg)
     specs.foreach { s =>
       val t = byKey((strategies(1).strategyId, s.metricId))
       val c = byKey((strategies(0).strategyId, s.metricId))

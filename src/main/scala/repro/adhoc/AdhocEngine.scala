@@ -1,6 +1,6 @@
 package repro.adhoc
 
-import java.util.concurrent.{Callable, Executors, TimeUnit}
+import java.util.concurrent.{Callable, LinkedBlockingQueue, ThreadPoolExecutor, TimeUnit}
 import scala.jdk.CollectionConverters._
 
 import org.roaringbitmap.RoaringBitmap
@@ -8,7 +8,7 @@ import repro.bsi.BSI
 
 /** In-process substitute for the paper's ClickHouse ad-hoc tier (§5.3):
   * each *segment* of data lives in one in-memory "node shard" and queries run
-  * segment-parallel on a fixed thread pool, exactly the locality/parallelism
+  * segment-parallel on the engine's thread pool, exactly the locality/parallelism
   * structure of Fig. 8. Both §6.3 methods are implemented:
   *
   *   - BSI method: expose offsets and metric values are BSIs; the expose
@@ -57,17 +57,22 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
     }
   }
 
+  /** One task per segment. The threads are daemons and time out when idle, so
+    * an engine that is dropped holds no thread and keeps no JVM alive.
+    */
+  private val pool = new ThreadPoolExecutor(nThreads, nThreads, 10L, TimeUnit.SECONDS,
+    new LinkedBlockingQueue[Runnable](), (r: Runnable) => { val t = new Thread(r); t.setDaemon(true); t })
+  pool.allowCoreThreadTimeOut(true)
+
   private def runSegmentParallel[T](f: Int => Seq[T]): Seq[T] = {
-    val pool = Executors.newFixedThreadPool(nThreads)
-    try {
-      val tasks = (0 until nSegments).map(s => new Callable[Seq[T]] { def call(): Seq[T] = f(s) })
-      pool.invokeAll(tasks.asJava).asScala.toSeq.flatMap(_.get())
-    } finally { pool.shutdown(); pool.awaitTermination(1, TimeUnit.MINUTES) }
+    val tasks = (0 until nSegments).map(s => new Callable[Seq[T]] { def call(): Seq[T] = f(s) })
+    pool.invokeAll(tasks.asJava).asScala.toSeq.flatMap(_.get())
   }
 
+  /** Totals across segments; a sum or count past `Long.MaxValue` throws. */
   private def mergeCells(parts: Seq[Cell]): Seq[Cell] =
     parts.groupBy(c => (c.strategyId, c.metricId, c.date)).map { case ((st, m, d), cs) =>
-      Cell(st, m, d, cs.map(_.sum).sum, cs.map(_.exposedCnt).sum)
+      Cell(st, m, d, cs.map(_.sum).reduce(Math.addExact(_, _)), cs.map(_.exposedCnt).reduce(Math.addExact(_, _)))
     }.toSeq.sortBy(c => (c.strategyId, c.metricId, c.date))
 
   /** §6.3 BSI method. A never-loaded expose BSI fails the query, naming its
@@ -80,7 +85,7 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
         (minDate, offset) = Option(exposeBsi.get((seg, st))).getOrElse(throw new NoSuchElementException(
           s"no expose BSI for segment $seg, strategy $st (call loadExposeBsi first)"))
         d <- dates
-        expose = offset.leConst(math.max(0L, (d - minDate + 1).toLong))
+        expose = offset.leConst((d - minDate + 1).toLong)
         m <- metricIds
       } yield {
         val (sum, cnt) = metricBsi.getOrDefault((seg, m, d), BSI.empty).exposedSum(expose)
@@ -104,7 +109,7 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
           var sum = 0L
           var i = 0
           while (i < pos.length) {
-            if (bm.contains(pos(i))) sum += values(i)
+            if (bm.contains(pos(i))) sum = Math.addExact(sum, values(i))
             i += 1
           }
           out += Cell(st, m, d, sum, bm.getLongCardinality)

@@ -18,7 +18,7 @@ object PreExperiment {
     metricBsi
       .where(col("date").between(startDate - c, startDate - 1))
       .groupBy("segment_id", "metric_id")
-      .agg(expr("bsi_sum_agg(value_bsi)").as("value_bsi"))
+      .agg(call_udf("bsi_sum_agg", col("value_bsi")).as("value_bsi"))
 
   /** Per-bucket pre-period sums in the simple segment=bucket case: every
     * exposed unit passes the filter (`offset <= Long.MaxValue`).
@@ -26,11 +26,11 @@ object PreExperiment {
   def bucketValuesSimple(exposeBsi: DataFrame, preSum: DataFrame): DataFrame =
     Scorecard.exposedCells(exposeBsi, preSum, lit(Long.MaxValue))
 
-  /** Collect a bucket-values DataFrame (strategy, metric, bucket, sum, cnt)
-    * into [[Stats.BucketedMetric]]s keyed by (strategy, metric).
+  /** Collect a segment = bucket values DataFrame (strategy, metric, bucket,
+    * sum, cnt), bucket ids `0 until nBuckets`, into [[Stats.BucketedMetric]]s
+    * keyed by (strategy, metric).
     */
-  def collectBucketed(bucketValues: DataFrame, nBuckets: Int,
-                      firstBucketId: Int = 1): Map[(Long, Int), Stats.BucketedMetric] =
+  def collectBucketed(bucketValues: DataFrame, nBuckets: Int): Map[(Long, Int), Stats.BucketedMetric] =
     bucketValues
       .select(col("strategy_id").cast("long"), col("metric_id").cast("int"),
               col("bucket_id").cast("int"), col("bucket_sum").cast("long"),
@@ -39,6 +39,6 @@ object PreExperiment {
       .groupBy((r: Row) => (r.getLong(0), r.getInt(1)))
       .map { case (k, rows) =>
         k -> Stats.fromRows(rows.toSeq.map(r => (r.getInt(2), r.getLong(3), r.getLong(4))),
-                            nBuckets, firstBucketId)
+                            nBuckets, firstBucketId = 0)
       }
 }

@@ -14,7 +14,8 @@ import org.apache.spark.sql.functions._
   * Output grain: `(strategy_id, metric_id, date, bucket_id, bucket_sum,
   * exposed_cnt)` — `bucket_sum` is the sum of metric values over exposed units
   * in the bucket; `exposed_cnt` counts exposed units (with or without a metric
-  * row), the denominator of per-user mean metrics.
+  * row), the denominator of per-user mean metrics. The join to the metric BSIs
+  * is inner, so a segment with no row for a (metric, date) drops out of it.
   */
 object Scorecard {
 

@@ -23,9 +23,9 @@ object Table3Eval {
 
   final case class Result(specCounts: Seq[Int], observedCounts: Seq[Int], rendered: String)
 
-  def run(spark: SparkSession, nUsers: Long, date: Int = 1, seed: Long = 42): Result = {
+  def run(spark: SparkSession, nUsers: Long): Result = {
     val specs = ExperimentGen.coreMetricSpecs
-    val observed = ExperimentGen.metricLog(spark, nUsers, specs, Seq(date), seed)
+    val observed = ExperimentGen.metricLog(spark, nUsers, specs, Seq(1))
       .groupBy("metric_id")
       .agg(countDistinct(col("value")).as("card"))
       .collect()

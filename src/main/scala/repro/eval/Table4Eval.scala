@@ -26,15 +26,14 @@ object Table4Eval {
   private def lz4Size(buf: Array[Byte], len: Int): Int =
     LZ4Factory.fastestInstance().fastCompressor().compress(buf, 0, len).length
 
-  def run(spark: SparkSession, nUsers: Long, nSegments: Int, nDays: Int = 29,
-          seed: Long = 42): Result = {
+  def run(spark: SparkSession, nUsers: Long, nSegments: Int): Result = {
     import spark.implicits._
     repro.core.BsiUdfs.register(spark)
 
     val specs = ExperimentGen.coreMetricSpecs
-    val dates = (1 to nDays).toSeq
-    val dict  = ExperimentGen.dictionary(spark, nUsers, nSegments, seed).cache()
-    val mlRaw = ExperimentGen.metricLog(spark, nUsers, specs, dates, seed).cache()
+    val dates = 1 to 29
+    val dict  = ExperimentGen.dictionary(spark, nUsers, nSegments).cache()
+    val mlRaw = ExperimentGen.metricLog(spark, nUsers, specs, dates).cache()
     val ml    = mlRaw.join(dict.select("unit_id", "segment_id"), "unit_id")
 
     // ---- normal format: column-major fixed-width blocks, LZ4 per column chunk

@@ -85,7 +85,7 @@ object Table56Eval {
                                 normalBytes: Long, normalSec: Double, bsiSec: Double)
   final case class Result(metrics: Seq[MetricResult], table5: String, table6: String)
 
-  def run(scale: Double = 1.0, warmup: Int = 2, reps: Int = 5): Result = {
+  def run(scale: Double = 1.0): Result = {
     val results = Seq(A, B, C).map { m0 =>
       val m = m0.copy(nRows = (m0.nRows * scale).toInt, universe = (m0.universe * scale).toInt)
       val day1 = generate(m, day = 1)
@@ -97,8 +97,8 @@ object Table56Eval {
       val rawTotal = day1.values.sum + day2.values.sum
       require(bsiTotal == rawTotal, s"sum mismatch for ${m.name}: $bsiTotal vs $rawTotal")
       var sink = 0L // prevents dead-code elimination
-      val normalSec = Measure.avgSeconds(warmup, reps) { sink += normalSumTwoDays(day1, day2) }
-      val bsiSec    = Measure.avgSeconds(warmup, reps) { sink += b1.add(b2).numSlices }
+      val normalSec = Measure.avgSeconds(warmup = 2, reps = 5) { sink += normalSumTwoDays(day1, day2) }
+      val bsiSec    = Measure.avgSeconds(warmup = 2, reps = 5) { sink += b1.add(b2).numSlices }
       require(sink != Long.MinValue)
       MetricResult(m, day1.positions.length.toLong + day2.positions.length,
         b1.sizeInBytes + b2.sizeInBytes,

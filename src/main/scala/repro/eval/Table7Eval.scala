@@ -21,21 +21,21 @@ object Table7Eval {
                           normalRows: Long, bsiRows: Long, rendered: String)
 
   def run(spark: SparkSession, nUsers: Long, nSegments: Int, nExperiments: Int,
-          nMetrics: Int, date: Int = 8, trafficPpm: Long = 100000L,
-          seed: Long = 42): Result = {
+          nMetrics: Int): Result = {
     BsiUdfs.register(spark)
+    val date       = 8
     val specs      = ExperimentGen.coreMetricSpecs.take(nMetrics)
-    val strategies = ExperimentGen.twoArmStrategies(nExperiments, trafficPpm, startDate = 1, nDays = 7)
+    val strategies = ExperimentGen.twoArmStrategies(nExperiments, trafficPpm = 100000L, startDate = 1, nDays = 7)
 
-    val dict   = ExperimentGen.dictionary(spark, nUsers, nSegments, seed).cache()
-    val expose = ExperimentGen.exposeLog(spark, nUsers, strategies, nBuckets = nSegments, seed)
+    val dict   = ExperimentGen.dictionary(spark, nUsers, nSegments).cache()
+    val expose = ExperimentGen.exposeLog(spark, nUsers, strategies, nBuckets = nSegments)
       // simple case: segment doubles as bucket (§4.2), so the baseline
       // replicates over the same grid the BSI path uses
       .join(dict.select("unit_id", "segment_id"), "unit_id")
       .withColumn("bucket_id", col("segment_id"))
       .drop("segment_id")
       .cache()
-    val metric = ExperimentGen.metricLog(spark, nUsers, specs, Seq(date), seed).cache()
+    val metric = ExperimentGen.metricLog(spark, nUsers, specs, Seq(date)).cache()
     expose.count(); metric.count(); dict.count()
 
     val exposeBsi = BsiConvert.exposeLogToBsi(expose, dict).cache()

@@ -1,7 +1,6 @@
 package repro.eval
 
-import java.util.concurrent.{Callable, Executors, TimeUnit}
-import scala.jdk.CollectionConverters._
+import scala.collection.parallel.CollectionConverters._
 
 import repro.adhoc.AdhocEngine
 import repro.bsi.BSIBuilder
@@ -24,17 +23,19 @@ object Table8Eval {
 
   final case class Result(bsiSec: Double, normalSec: Double, cells: Int, rendered: String)
 
+  private val Seed = 42L
+
   /** Populate one segment shard: expose BSIs for the 3 strategies and, per
     * (metric, date), the value BSI plus the normal-format columnar rows.
     */
   private def fillSegment(engine: AdhocEngine, seg: Int, usersPerSegment: Int,
                           specs: Seq[ExperimentGen.MetricSpec], strategyIds: Seq[Long],
-                          dates: Seq[Int], seed: Long): Unit = {
+                          dates: Seq[Int]): Unit = {
     // expose: ~90% of users in the experiment, uniform arm, geometric offset
     val offsets = strategyIds.map(_ => new BSIBuilder)
     var p = 0
     while (p < usersPerSegment) {
-      val h = mix(seed + seg.toLong * 1000003L + p)
+      val h = mix(Seed + seg.toLong * 1000003L + p)
       if (u01(h) < 0.9) {
         val arm = (mix(h + 1) >>> 33).toInt % strategyIds.size
         val off = math.min(dates.size, (math.log(1.0 - u01(h + 2)) / math.log(0.5)).toInt + 1)
@@ -55,7 +56,7 @@ object Table8Eval {
         val part = spec.basePartPpm / 1e6
         var p = 0
         while (p < usersPerSegment) {
-          val h = mix(seed * 31 + seg.toLong * 7777777L + spec.metricId * 131071L + d * 8191L + p)
+          val h = mix(Seed * 31 + seg.toLong * 7777777L + spec.metricId * 131071L + d * 8191L + p)
           // participation ∝ engagement (decreasing in position, as encoded)
           val engagement = 1.0 - (p + 0.5) / usersPerSegment
           if (u01(h) < math.min(1.0, 2 * engagement * part)) {
@@ -72,20 +73,14 @@ object Table8Eval {
     }
   }
 
-  def run(nUsers: Long, nSegments: Int, nMetrics: Int = 105, nDays: Int = 7,
-          reps: Int = 10, seed: Long = 42): Result = {
-    val specs = ExperimentGen.coreMetricSpecs.take(nMetrics)
-    val dates = (1 to nDays).toSeq
+  def run(nUsers: Long, nSegments: Int): Result = {
+    val specs = ExperimentGen.coreMetricSpecs
+    val dates = 1 to 7
     val strategyIds = Seq(9000L, 9001L, 9002L) // one huge 3-arm experiment
     val usersPerSegment = (nUsers / nSegments).toInt
 
     val engine = new AdhocEngine(nSegments)
-    val pool = Executors.newFixedThreadPool(Runtime.getRuntime.availableProcessors())
-    try {
-      pool.invokeAll((0 until nSegments).map(seg => new Callable[Unit] {
-        def call(): Unit = fillSegment(engine, seg, usersPerSegment, specs, strategyIds, dates, seed)
-      }).asJava).asScala.foreach(_.get())
-    } finally { pool.shutdown(); pool.awaitTermination(5, TimeUnit.MINUTES) }
+    (0 until nSegments).par.foreach(seg => fillSegment(engine, seg, usersPerSegment, specs, strategyIds, dates))
 
     // correctness guard before timing: both methods must agree cell-for-cell
     val metricIds = specs.map(_.metricId)
@@ -93,8 +88,8 @@ object Table8Eval {
     val cn = engine.queryNormal(strategyIds, metricIds, dates)
     require(cb == cn, s"ad-hoc methods disagree: ${cb.diff(cn).take(3)} vs ${cn.diff(cb).take(3)}")
 
-    val bsiSec    = Measure.avgSeconds(warmup = 2, reps = reps) { engine.queryBsi(strategyIds, metricIds, dates) }
-    val normalSec = Measure.avgSeconds(warmup = 2, reps = reps) { engine.queryNormal(strategyIds, metricIds, dates) }
+    val bsiSec    = Measure.avgSeconds(warmup = 2, reps = 10) { engine.queryBsi(strategyIds, metricIds, dates) }
+    val normalSec = Measure.avgSeconds(warmup = 2, reps = 10) { engine.queryNormal(strategyIds, metricIds, dates) }
 
     val rendered = Measure.renderTable(
       Seq("Format of Representation", "Average Latency", "Ratio"),

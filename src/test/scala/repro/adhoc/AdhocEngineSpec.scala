@@ -76,6 +76,30 @@ class AdhocEngineSpec extends AnyFunSuite {
     assert(cells.head.exposedCnt == 1L)
   }
 
+  test("cross-segment totals past Long.MaxValue throw instead of wrapping") {
+    val eng = new AdhocEngine(2, nThreads = 2)
+    for (seg <- 0 until 2) {
+      eng.loadExposeBsi(seg, 5L, 1, toBsi(Map(0 -> 1L)))
+      eng.loadMetricBsi(seg, 7, 1, toBsi(Map(0 -> (1L << 62))))
+      eng.loadMetricRows(seg, 7, 1, Array(0), Array(1L << 62))
+      eng.buildExposeBitmaps(seg, 5L, Seq(1))
+    }
+    intercept[ArithmeticException](eng.queryBsi(Seq(5L), Seq(7), Seq(1)))
+    intercept[ArithmeticException](eng.queryNormal(Seq(5L), Seq(7), Seq(1)))
+  }
+
+  test("one segment's sum past Long.MaxValue throws in both methods") {
+    val eng = new AdhocEngine(1, nThreads = 1)
+    eng.loadExposeBsi(0, 5L, 1, toBsi(Map(0 -> 1L, 1 -> 1L)))
+    eng.loadMetricBsi(0, 7, 1, toBsi(Map(0 -> (1L << 62), 1 -> (1L << 62))))
+    eng.loadMetricRows(0, 7, 1, Array(0, 1), Array(1L << 62, 1L << 62))
+    eng.buildExposeBitmaps(0, 5L, Seq(1))
+    for (query <- Seq(eng.queryBsi _, eng.queryNormal _)) {
+      val e = intercept[java.util.concurrent.ExecutionException](query(Seq(5L), Seq(7), Seq(1)))
+      assert(e.getCause.isInstanceOf[ArithmeticException], e)
+    }
+  }
+
   test("queryBsi names a missing expose BSI") {
     val eng = new AdhocEngine(2, nThreads = 2)
     eng.loadExposeBsi(0, 5L, 1, toBsi(Map(0 -> 1L))) // nothing loaded for segment 1

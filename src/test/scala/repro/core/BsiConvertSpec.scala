@@ -1,14 +1,17 @@
 package repro.core
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
 import repro.bsi.BSICodec
+import repro.expgen.ExperimentGen
 
 /** Normal → BSI conversion must be lossless: decoding the BSI tables back
   * through the dictionary reproduces the normal-format logs exactly.
   */
-class BsiConvertSpec extends SparkSpec {
+class BsiConvertSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val d = TestFixtures.data(spark)
 
@@ -93,6 +96,18 @@ class BsiConvertSpec extends SparkSpec {
       (r.getAs[Int]("date"), r.getAs[String]("dim_name"), r.getAs[Long]("unit_id"),
        r.getAs[Long]("value"))).toSet
     assert(decoded == normal)
+  }
+
+  test("expose conversion broadcasts the per-strategy minimum: one sort-merge join, the dictionary's") {
+    assert(spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1")
+    // a freshly generated log, so that the plan is not answered from the fixture's cache
+    val log = ExperimentGen.exposeLog(spark, TestFixtures.NUsers, TestFixtures.Strategies, TestFixtures.NSegments,
+      TestFixtures.Seed)
+    val e = BsiConvert.exposeLogToBsi(log, d.dict)
+    e.collect()
+    val plan = e.queryExecution.executedPlan
+    assert(collect(plan) { case j: SortMergeJoinExec => j }.size == 1, plan)
+    assert(collect(plan) { case j: BroadcastHashJoinExec => j }.size == 1, plan)
   }
 
   test("BSI tables have one row per group key") {

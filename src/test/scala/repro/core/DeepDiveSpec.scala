@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.logging.log4j.Level
+import org.apache.logging.log4j.core.config.Configurator
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
@@ -95,6 +97,18 @@ class DeepDiveSpec extends SparkSpec {
       .where(col("strategy_id").isin(strategyIds.map(java.lang.Long.valueOf): _*))
       .agg(sum("exposed_cnt")).collect().head.getLong(0)
     assert(parts.sum == full, s"client-type slices $parts should sum to $full")
+  }
+
+  test("a predicate op is data, not SQL: an op outside the six is rejected by name") {
+    val bad = Seq(DeepDive.DimPredicate("client-type", "=' OR '1", 1L))
+    // the failing tasks' stack traces are expected here, so keep them out of the test log
+    val taskLoggers = Seq("org.apache.spark.executor.Executor", "org.apache.spark.scheduler.TaskSetManager")
+    taskLoggers.foreach(Configurator.setLevel(_, Level.OFF))
+    val e = try intercept[Exception](DeepDive.dimFilter(d.dimBsi, bad, 6).collect())
+            finally taskLoggers.foreach(Configurator.setLevel(_, Level.WARN))
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+      Option(c.getMessage).exists(_.contains("unknown comparison op: =' OR '1"))), causes.map(_.getMessage))
   }
 
   test("dimFilter rejects an empty predicate list") {

@@ -79,7 +79,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("full inference round trip on every strategy pair and metric") {
     val bv = Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, Seq(6))
-    val byKey = PreExperiment.collectBucketed(bv, TestFixtures.NSegments, firstBucketId = 0)
+    val byKey = PreExperiment.collectBucketed(bv, TestFixtures.NSegments)
     for (pair <- TestFixtures.Strategies.grouped(2); spec <- TestFixtures.Specs) {
       val r = Stats.welchTTest(
         byKey((pair(1).strategyId, spec.metricId)),
@@ -92,7 +92,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("metric covariance across two metrics of one strategy is finite and symmetric") {
     val bv = Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, Seq(6))
-    val byKey = PreExperiment.collectBucketed(bv, TestFixtures.NSegments, firstBucketId = 0)
+    val byKey = PreExperiment.collectBucketed(bv, TestFixtures.NSegments)
     val st = TestFixtures.Strategies.head.strategyId
     val m1 = byKey((st, TestFixtures.Specs(0).metricId))
     val m2 = byKey((st, TestFixtures.Specs(1).metricId))

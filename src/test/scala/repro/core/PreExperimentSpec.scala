@@ -71,11 +71,11 @@ class PreExperimentSpec extends SparkSpec {
     // must still produce finite, consistent adjustments.
     val y = PreExperiment.collectBucketed(
       Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, Seq(6)),
-      TestFixtures.NSegments, firstBucketId = 0)
+      TestFixtures.NSegments)
     val x = PreExperiment.collectBucketed(
       PreExperiment.bucketValuesSimple(d.exposeBsi, PreExperiment.preSumDirect(d.metricBsi, start, c))
         .withColumn("date", lit(0)),
-      TestFixtures.NSegments, firstBucketId = 0)
+      TestFixtures.NSegments)
     val s = TestFixtures.Strategies
     val spec = TestFixtures.Specs.head
     val r = Stats.cupedTTest(

@@ -153,7 +153,7 @@ class ScorecardSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("A/A inference on scorecard outputs: all metrics have p > 0.001") {
     val bv = Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, Seq(6))
-    val byKey = PreExperiment.collectBucketed(bv, TestFixtures.NSegments, firstBucketId = 0)
+    val byKey = PreExperiment.collectBucketed(bv, TestFixtures.NSegments)
     val es = TestFixtures.Strategies.grouped(2).toSeq
     for (pair <- es; spec <- TestFixtures.Specs) {
       val t = byKey((pair(1).strategyId, spec.metricId))
