@@ -5,15 +5,15 @@ import scala.jdk.CollectionConverters._
 
 import org.roaringbitmap.RoaringBitmap
 import repro.bsi.BSI
+import repro.core.SegmentScorer
 
 /** In-process substitute for the paper's ClickHouse ad-hoc tier (§5.3):
   * each *segment* of data lives in one in-memory "node shard" and queries run
   * segment-parallel on the engine's thread pool, exactly the locality/parallelism
   * structure of Fig. 8. Both §6.3 methods are implemented:
   *
-  *   - BSI method: expose offsets and metric values are BSIs; the expose
-  *     filter is a constant comparison on the offset BSI and the sum is an
-  *     in-BSI aggregate — all on compressed data;
+  *   - BSI method: each shard is scored by [[repro.core.SegmentScorer]], the
+  *     Spark scorecards' own cell code, on compressed data;
   *   - normal method: per-day expose *bitmaps* are cached per strategy (the
   *     paper notes ClickHouse joins are slow, so the baseline also avoids a
   *     join); metric rows are scanned columnar and filtered by
@@ -26,11 +26,10 @@ import repro.bsi.BSI
 final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.availableProcessors()) {
   import AdhocEngine.Cell
 
-
   /** BSI store: (segment, metric, date) → value BSI. */
   private val metricBsi = new java.util.concurrent.ConcurrentHashMap[(Int, Int, Int), BSI]()
-  /** BSI store: (segment, strategy) → (minExposeDate, offset BSI). */
-  private val exposeBsi = new java.util.concurrent.ConcurrentHashMap[(Int, Long), (Int, BSI)]()
+  /** BSI store: (segment, strategy) → min expose date and offset BSI. */
+  private val exposeBsi = new java.util.concurrent.ConcurrentHashMap[(Int, Long), SegmentScorer.Expose]()
 
   /** Normal store: (segment, metric, date) → columnar (positions, values). */
   private val metricRows = new java.util.concurrent.ConcurrentHashMap[(Int, Int, Int), (Array[Int], Array[Long])]()
@@ -41,7 +40,7 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
     metricBsi.put((segment, metricId, date), bsi)
 
   def loadExposeBsi(segment: Int, strategyId: Long, minExposeDate: Int, offset: BSI): Unit =
-    exposeBsi.put((segment, strategyId), (minExposeDate, offset))
+    exposeBsi.put((segment, strategyId), SegmentScorer.Expose(strategyId, minExposeDate, offset, bucket = None))
 
   def loadMetricRows(segment: Int, metricId: Int, date: Int,
                      positions: Array[Int], values: Array[Long]): Unit =
@@ -51,9 +50,9 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
     * already-loaded expose BSI (positions with `offset <= date - min + 1`).
     */
   def buildExposeBitmaps(segment: Int, strategyId: Long, dates: Seq[Int]): Unit = {
-    val (minDate, offset) = exposeBsi.get((segment, strategyId))
+    val e = exposeBsi.get((segment, strategyId))
     dates.foreach { d =>
-      exposeBitmaps.put((segment, strategyId, d), offset.leConst((d - minDate + 1).toLong))
+      exposeBitmaps.put((segment, strategyId, d), e.offset.leConst((d - e.minExposeDate + 1).toLong))
     }
   }
 
@@ -80,17 +79,10 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
     */
   def queryBsi(strategyIds: Seq[Long], metricIds: Seq[Int], dates: Seq[Int]): Seq[Cell] =
     mergeCells(runSegmentParallel { seg =>
-      for {
-        st <- strategyIds
-        (minDate, offset) = Option(exposeBsi.get((seg, st))).getOrElse(throw new NoSuchElementException(
-          s"no expose BSI for segment $seg, strategy $st (call loadExposeBsi first)"))
-        d <- dates
-        expose = offset.leConst((d - minDate + 1).toLong)
-        m <- metricIds
-      } yield {
-        val (sum, cnt) = metricBsi.getOrDefault((seg, m, d), BSI.empty).exposedSum(expose)
-        Cell(st, m, d, sum, cnt)
-      }
+      val exposes = strategyIds.map(st => Option(exposeBsi.get((seg, st))).getOrElse(throw new NoSuchElementException(
+        s"no expose BSI for segment $seg, strategy $st (call loadExposeBsi first)")))
+      SegmentScorer.score(seg, exposes, (m, d) => Option(metricBsi.get((seg, m, d))), metricIds, dates,
+                          allExposed = false).map(c => Cell(c.strategyId, c.metricId, c.date, c.sum, c.exposedCnt))
     })
 
   /** §6.3 normal method: scan the metric rows of each (segment, metric, date)

@@ -299,9 +299,6 @@ final class BSI private[bsi] (private val slices: Array[RoaringBitmap]) extends 
     s
   }
 
-  /** Scorecard cell (§4.2): (Σ values over the expose `mask`, |mask|), so exposed units without a value count. */
-  def exposedSum(mask: RoaringBitmap): (Long, Long) = (filteredSum(mask), mask.getLongCardinality)
-
   /** Bucketed scorecard cell (§4.2, §3.3): one `(bucket id, Σ values over the
     * exposed units of the bucket, exposed count)` per non-empty bucket, in
     * bucket order. The exposed positions that have a bucket are split by the

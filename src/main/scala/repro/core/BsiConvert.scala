@@ -36,11 +36,16 @@ object BsiConvert {
 
   /** §3.4.1 position encoding, then one `bsi_build` per named BSI: `(segment_id,
     * keys…, bsis…)`. Inner join: a unit absent from the dictionary has no
-    * encoded position (it never appears in any log by construction).
+    * encoded position (it never appears in any log by construction). Rows are
+    * stored by segment: hash-partitioned by `segment_id` into the session's
+    * `spark.sql.shuffle.partitions`, a count AQE does not coalesce, so the
+    * scorers' tables meet partition to partition with no exchange.
     */
   private def toBsi(log: DataFrame, dictionary: DataFrame, keys: Seq[String], bsis: (String, Column)*): DataFrame = {
     val built = bsis.map { case (name, value) =>
       call_udf("bsi_build", col("pos").cast("long"), value.cast("long")).as(name) }
-    log.join(dictionary, "unit_id").groupBy(("segment_id" +: keys).map(col): _*).agg(built.head, built.tail: _*)
+    val n = log.sparkSession.conf.get("spark.sql.shuffle.partitions").toInt
+    log.join(dictionary, "unit_id").repartition(n, col("segment_id"))
+      .groupBy(("segment_id" +: keys).map(col): _*).agg(built.head, built.tail: _*)
   }
 }

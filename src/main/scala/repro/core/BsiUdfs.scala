@@ -23,11 +23,6 @@ import repro.bsi.{BSI, BSIAggregates, BSIBuilder, BSICodec}
   *                                       row-wise arithmetic (§2.3); a result past 63 bits throws
   *   - `bsi_cmp(a, op, b)`               row-wise comparison → binary BSI (Algorithms 1–3)
   *   - `bsi_cmp_const(a, op, k)`         comparison against a constant → binary BSI
-  *   - `bsi_exposed_sum(v, offset, k)`   fused scorecard cell (§4.2): struct of
-  *                                       (Σ v over the expose mask `offset ≤ k`, mask count)
-  *   - `bsi_bucket_exposed_sum(v, offset, k, bucket)` the same cell split by
-  *                                       the bucket BSI: array of (bucket id, Σ v, count),
-  *                                       one per bucket with an exposed unit (§4.2)
   *   - `bsi_sum/bsi_count/bsi_avg/bsi_min_value/bsi_max_value/bsi_median/bsi_ntile`
   *                                       in-BSI aggregates → scalar (§4.1.3)
   *   - `bsi_get(a, pos)`                 point lookup (tests/debug)
@@ -110,10 +105,6 @@ object BsiUdfs {
       (a: Array[Byte], op: String, b: Array[Byte]) => se(BSI.fromBitmap(cmpBsi(de(a), op, de(b)))))
     spark.udf.register("bsi_cmp_const",
       (a: Array[Byte], op: String, k: Long) => se(BSI.fromBitmap(cmpConst(de(a), op, k))))
-    spark.udf.register("bsi_exposed_sum", (v: Array[Byte], offset: Array[Byte], k: Long) =>
-      de(v).exposedSum(de(offset).leConst(k)))
-    spark.udf.register("bsi_bucket_exposed_sum", (v: Array[Byte], offset: Array[Byte], k: Long, bucket: Array[Byte]) =>
-      de(v).bucketExposedSums(de(offset).leConst(k), de(bucket)))
 
     spark.udf.register("bsi_sum", (a: Array[Byte]) => de(a).sumValues)
     spark.udf.register("bsi_count", (a: Array[Byte]) => de(a).count)

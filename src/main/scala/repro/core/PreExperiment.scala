@@ -20,11 +20,10 @@ object PreExperiment {
       .groupBy("segment_id", "metric_id")
       .agg(call_udf("bsi_sum_agg", col("value_bsi")).as("value_bsi"))
 
-  /** Per-bucket pre-period sums in the simple segment=bucket case: every
-    * exposed unit passes the filter (`offset <= Long.MaxValue`).
-    */
+  /** Per-bucket pre-period sums in the simple segment=bucket case: every exposed unit passes the filter. */
   def bucketValuesSimple(exposeBsi: DataFrame, preSum: DataFrame): DataFrame =
-    Scorecard.exposedCells(exposeBsi, preSum, lit(Long.MaxValue))
+    Scorecard.scored(exposeBsi, preSum.withColumn("date", lit(0)), Seq(0), allExposed = true, nBuckets = None)
+      .drop("date")
 
   /** Collect a segment = bucket values DataFrame (strategy, metric, bucket,
     * sum, cnt), bucket ids `0 until nBuckets`, into [[Stats.BucketedMetric]]s

@@ -1,60 +1,60 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
-/** Scorecard computation on the BSI representation (§4.2).
-  *
-  * For each (strategy, metric, date) the pipeline mirrors the paper's SQL:
-  * the expose filter is a constant comparison on the `offset` BSI
-  * (`expose-date <= date  ⇔  offset <= date - min_expose_date + 1`), the
-  * filtered sum is the value summed over that mask (`value * expose`), and
-  * per-bucket sums/counts feed the statistical inference.
+import repro.bsi.BSICodec
+
+/** Scorecard computation on the BSI representation (§4.2). BSI tables are
+  * stored by segment ([[BsiConvert]]), so a segment's expose and value BSIs
+  * meet in one task with no exchange, and [[SegmentScorer]] scores it there.
   *
   * Output grain: `(strategy_id, metric_id, date, bucket_id, bucket_sum,
   * exposed_cnt)` — `bucket_sum` is the sum of metric values over exposed units
   * in the bucket; `exposed_cnt` counts exposed units (with or without a metric
-  * row), the denominator of per-user mean metrics. The join to the metric BSIs
-  * is inner, so a segment with no row for a (metric, date) drops out of it.
+  * row), the denominator of per-user mean metrics.
   */
 object Scorecard {
 
   /** The common case where segmentation and bucketing coincide (§4.2's demo):
-    * the segment id *is* the bucket id, so each joined (strategy, metric,
-    * date, segment) row yields exactly one bucket row.
+    * the segment id *is* the bucket id, so each (strategy, metric, date,
+    * segment) yields exactly one bucket row.
     */
-  def bucketValuesSimple(exposeBsi: DataFrame, metricBsi: DataFrame,
-                         dates: Seq[Int]): DataFrame =
-    exposedCells(exposeBsi, metricBsi.where(col("date").isin(dates: _*)), dayOffset, col("date"))
+  def bucketValuesSimple(exposeBsi: DataFrame, metricBsi: DataFrame, dates: Seq[Int]): DataFrame =
+    scored(exposeBsi, metricBsi.where(col("date").isin(dates: _*)), dates, allExposed = false, nBuckets = None)
 
-  /** The general case (§4.2, segment ≠ bucket): each joined row is split into
-    * per-bucket partial sums by the fused `bsi_bucket_exposed_sum` cell, then
-    * merged across segments. A bucket id outside `1..nBuckets` throws
-    * `IllegalArgumentException` naming it.
+  /** The general case (§4.2, segment ≠ bucket): each segment's cells are split
+    * by its bucket BSI, then merged across segments. A bucket id outside
+    * `1..nBuckets` throws `IllegalArgumentException` naming it.
     */
-  def bucketValuesBucketed(exposeBsi: DataFrame, metricBsi: DataFrame,
-                           dates: Seq[Int], nBuckets: Int): DataFrame = {
-    // ids start at 1 by construction: bucket 0 would be absent from the BSI
-    val bucketId = udf { (id: Long) => require(id <= nBuckets, s"bucket id $id outside 1..$nBuckets"); id.toInt }
-    metricBsi.where(col("date").isin(dates: _*)).join(broadcast(exposeBsi), "segment_id")
-      .withColumn("bs", explode(call_udf("bsi_bucket_exposed_sum", col("value_bsi"), col("offset_bsi"),
-                                         dayOffset, col("bucket_bsi"))))
-      .groupBy(col("strategy_id"), col("metric_id"), col("date"), bucketId(col("bs._1")).as("bucket_id"))
-      .agg(sum(col("bs._2")).as("bucket_sum"), sum(col("bs._3")).as("exposed_cnt"))
+  def bucketValuesBucketed(exposeBsi: DataFrame, metricBsi: DataFrame, dates: Seq[Int], nBuckets: Int): DataFrame =
+    scored(exposeBsi, metricBsi.where(col("date").isin(dates: _*)), dates, allExposed = false, Some(nBuckets))
+      .groupBy("strategy_id", "metric_id", "date", "bucket_id")
+      .agg(sum(col("bucket_sum")).as("bucket_sum"), sum(col("exposed_cnt")).as("exposed_cnt"))
+
+  /** [[SegmentScorer]] cells of each segment over every metric id of
+    * `valueBsi`, read first by one narrow job: a task holding one segment cannot
+    * see them. The outer join keeps the exposed units of a segment with no value row.
+    */
+  private[core] def scored(exposeBsi: DataFrame, valueBsi: DataFrame, dates: Seq[Int], allExposed: Boolean,
+                           nBuckets: Option[Int]): DataFrame = {
+    val metricIds = valueBsi.select(col("metric_id").cast("int")).collect().map(_.getInt(0)).distinct.sorted.toSeq
+    def bySegment(df: DataFrame, name: String, cols: String*) =
+      df.groupBy("segment_id").agg(collect_list(struct(cols.map(col): _*)).as(name))
+    val de = BSICodec.deserialize _
+    val score = udf { (segment: Int, es: Seq[Row], vs: Seq[Row]) =>
+      val values = Option(vs).getOrElse(Nil).map(r => (r.getInt(0), r.getInt(1)) -> de(r.getAs[Array[Byte]](2))).toMap
+      val exposes = es.map(r => SegmentScorer.Expose(r.getLong(0), r.getInt(1), de(r.getAs[Array[Byte]](2)),
+                                                     nBuckets.map(_ => de(r.getAs[Array[Byte]](3)))))
+      SegmentScorer.score(segment, exposes, (m, d) => values.get((m, d)), metricIds, dates, allExposed).map { c =>
+        // ids start at 1 by construction: bucket 0 would be absent from the BSI
+        nBuckets.foreach(n => require(c.bucketId <= n, s"bucket id ${c.bucketId} outside 1..$n")); c }
+    }
+    bySegment(exposeBsi, "e", "strategy_id", "min_expose_date", "offset_bsi", "bucket_bsi")
+      .join(bySegment(valueBsi, "v", "metric_id", "date", "value_bsi"), Seq("segment_id"), "left_outer")
+      .select(explode(score(col("segment_id"), col("e"), col("v"))).as("c")).select("c.*")
+      .toDF("strategy_id", "metric_id", "date", "bucket_id", "bucket_sum", "exposed_cnt")
   }
-
-  /** A scored day's expose bound: `expose-date <= date ⇔ offset <= k`. */
-  private def dayOffset: Column = expr("cast(date - min_expose_date + 1 as bigint)")
-
-  /** Segment = bucket cells (strategy, metric, `keys`, bucket, sum, count): the
-    * metric BSIs join their segment's expose BSIs by broadcast, so the fused
-    * `bsi_exposed_sum` cell (mask `offset <= k`) runs with no shuffle.
-    */
-  private[core] def exposedCells(exposeBsi: DataFrame, metricBsi: DataFrame, k: Column, keys: Column*): DataFrame =
-    metricBsi.join(broadcast(exposeBsi), "segment_id")
-      .withColumn("cell", call_udf("bsi_exposed_sum", col("value_bsi"), col("offset_bsi"), k))
-      .select(Seq(col("strategy_id"), col("metric_id")) ++ keys ++ Seq(col("segment_id").as("bucket_id"),
-              col("cell._1").as("bucket_sum"), col("cell._2").as("exposed_cnt")): _*)
 
   /** Roll bucket rows up to one scorecard row per (strategy, metric, date):
     * the metric value `Σ sum / Σ cnt` plus the bucket-replicate moments the

@@ -90,17 +90,19 @@ class BSIPropertySpec extends AnyFunSuite {
     (_.ltConst(_), _ < _), (_.leConst(_), _ <= _), (_.gtConst(_), _ > _),
     (_.geConst(_), _ >= _), (_.eqConst(_), _ == _), (_.neqConst(_), _ != _))
 
-  /** The scorecard cell under each comparison op equals the reference sum of
-    * `value` over exposed positions and the exposed count.
+  /** The scorecard cell under each comparison op, `filteredSum` over the mask
+    * and the mask's count, equals the reference sum of `value` over exposed
+    * positions and the exposed count.
     */
   private def cellMatches(value: Ref, offset: Ref, k: Long): Boolean =
     constOps.forall { case (mask, cmp) =>
       val exposed = compareConst(offset, k, cmp)
-      toBsi(value).exposedSum(mask(toBsi(offset), k)) ==
+      val m = mask(toBsi(offset), k)
+      (toBsi(value).filteredSum(m), m.getLongCardinality) ==
         ((exposed.iterator.map(value.getOrElse(_, 0L)).sum, exposed.size.toLong))
     }
 
-  test("property: exposedSum matches reference for every comparison op") {
+  test("property: filteredSum over an expose mask matches reference for every op") {
     // offsets 1..maxOffset over the value universe, as an expose BSI holds them
     val genOffset = for {
       n <- Gen.choose(0, 300); mx <- Gen.oneOf(1L, 7L, 30L); seed <- Gen.choose(0L, 1L << 40)

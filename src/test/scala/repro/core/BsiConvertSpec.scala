@@ -1,6 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.catalyst.expressions.aggregate.{Final, Partial}
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanHelper, ExchangeQueryStageExec, QueryStageExec}
+import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
+import org.apache.spark.sql.execution.exchange.Exchange
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions._
 
@@ -108,6 +112,33 @@ class BsiConvertSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val plan = e.queryExecution.executedPlan
     assert(collect(plan) { case j: SortMergeJoinExec => j }.size == 1, plan)
     assert(collect(plan) { case j: BroadcastHashJoinExec => j }.size == 1, plan)
+  }
+
+  test("conversion stores BSIs by segment: no exchange inside the bsi_build aggregate") {
+    // logs of another seed, so that no cached table of any suite answers the plans
+    val seed = TestFixtures.Seed + 1
+    val tables = Seq(
+      BsiConvert.exposeLogToBsi(ExperimentGen.exposeLog(spark, TestFixtures.NUsers, TestFixtures.Strategies,
+        TestFixtures.NSegments, seed), d.dict),
+      BsiConvert.metricLogToBsi(ExperimentGen.metricLog(spark, TestFixtures.NUsers, TestFixtures.Specs, Seq(6), seed),
+        d.dict),
+      BsiConvert.dimensionLogToBsi(ExperimentGen.dimensionLog(spark, TestFixtures.NUsers, Seq(6), seed), d.dict))
+    // from the final aggregate down to its partial one, crossing no exchange
+    def exchangeAbovePartial(p: SparkPlan): Boolean = p match {
+      case a: BaseAggregateExec if a.aggregateExpressions.forall(_.mode == Partial) => false
+      case _: Exchange | _: ExchangeQueryStageExec => true
+      case q: QueryStageExec => exchangeAbovePartial(q.plan)
+      case other => other.children.exists(exchangeAbovePartial)
+    }
+    for (t <- tables) {
+      t.collect()
+      val plan = t.queryExecution.executedPlan
+      val builds = collect(plan) {
+        case a: BaseAggregateExec if a.aggregateExpressions.exists(_.mode == Final) &&
+                                     a.output.exists(_.name.endsWith("_bsi")) => a }
+      assert(builds.size == 1, plan)
+      assert(!exchangeAbovePartial(builds.head.child), plan)
+    }
   }
 
   test("BSI tables have one row per group key") {

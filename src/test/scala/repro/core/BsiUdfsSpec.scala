@@ -114,44 +114,6 @@ class BsiUdfsSpec extends SparkSpec {
     assert(row.getLong(7) == r(r.keySet.head))
   }
 
-  test("bsi_exposed_sum equals the bsi_cmp_const -> bsi_mul -> bsi_sum, bsi_count chain") {
-    _reg
-    import spark.implicits._
-    val rows = for (i <- 0 until 6; k <- Seq(-4L, 0L, 1L, 3L, Long.MaxValue)) yield {
-      val value = if (i == 0) BSI.empty else toBsi(random(i + 70, 300, 2000, 1L << 12))
-      val offset = if (i == 1) BSI.empty else toBsi(random(i + 80, 250, 2000, 7L))
-      (BSICodec.serialize(value), BSICodec.serialize(offset), k)
-    }
-    val out = rows.toDF("v", "off", "k")
-      .withColumn("expose", expr("bsi_cmp_const(off, '<=', k)"))
-      .select(expr("bsi_exposed_sum(v, off, k)").as("cell"),
-              expr("bsi_sum(bsi_mul(v, expose))").as("chain_sum"),
-              expr("bsi_count(expose)").as("chain_cnt"))
-      .select("cell._1", "cell._2", "chain_sum", "chain_cnt")
-      .collect()
-    assert(out.length == rows.size)
-    assert(out.exists(_.getLong(0) > 0))
-    out.foreach(r => assert((r.getLong(0), r.getLong(1)) == ((r.getLong(2), r.getLong(3))), r))
-  }
-
-  test("bsi_bucket_exposed_sum splits exposed sums by bucket") {
-    _reg
-    import spark.implicits._
-    // positions 0..9; values = pos+1; buckets alternate 1/2; mask keeps evens
-    val value  = toBsi((0 until 10).map(p => p -> (p + 1L)).toMap)
-    val mask   = toBsi((0 until 10 by 2).map(_ -> 1L).toMap)
-    val bucket = toBsi((0 until 10).map(p => p -> (p % 2 + 1L)).toMap)
-    val rows = Seq((BSICodec.serialize(value), BSICodec.serialize(mask), BSICodec.serialize(bucket)))
-      .toDF("v", "m", "bk")
-      .select(expr("explode(bsi_bucket_exposed_sum(v, m, 1L, bk))").as("s")) // the mask as offsets
-      .select("s._1", "s._2", "s._3")
-      .collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
-      .toSet
-    // bucket 1 holds even positions: masked values 1+3+5+7+9 = 25, count 5
-    assert(rows == Set((1L, 25L, 5L)))
-  }
-
   test("bsi_build rejects positions outside [0, Int.MaxValue]") {
     val agg = new BsiUdfs.BuildAgg
     for (pos <- Seq((1L << 32) + 5, Int.MaxValue + 1L, -1L)) {

@@ -43,26 +43,13 @@ class PreExperimentSpec extends SparkSpec {
       .select(col("strategy_id").cast("long"), col("metric_id").cast("int"),
               col("bucket_id").cast("int"), col("bucket_sum").cast("long"),
               col("exposed_cnt").cast("long"))
-    Oracle.assertEquivalent(bv,
-      s"""WITH pre AS (
-         |  SELECT metric_id, unit_id, SUM(CAST(value AS BIGINT)) AS s
-         |  FROM metric WHERE CAST(date AS INT) BETWEEN ${start - c} AND ${start - 1}
-         |  GROUP BY 1, 2),
-         |metrics AS (SELECT DISTINCT metric_id FROM pre),
-         |counts AS (
-         |  SELECT strategy_id, bucket_id, COUNT(*) AS exposed_cnt FROM expose GROUP BY 1, 2),
-         |sums AS (
-         |  SELECT e.strategy_id AS strategy_id, p.metric_id AS metric_id,
-         |         e.bucket_id AS bucket_id, SUM(p.s) AS s
-         |  FROM expose e JOIN pre p ON e.unit_id = p.unit_id
-         |  GROUP BY 1, 2, 3)
-         |SELECT c.strategy_id AS strategy_id, CAST(mt.metric_id AS INT) AS metric_id,
-         |       c.bucket_id AS bucket_id, COALESCE(s.s, 0) AS bucket_sum,
-         |       c.exposed_cnt AS exposed_cnt
-         |FROM counts c CROSS JOIN metrics mt
-         |LEFT JOIN sums s ON s.strategy_id = c.strategy_id AND s.metric_id = mt.metric_id
-         |                AND s.bucket_id = c.bucket_id""".stripMargin,
+    Oracle.assertEquivalent(bv, PreExperimentSpec.oracleSql(start, c),
       "expose" -> d.expose, "metric" -> d.metric)
+  }
+
+  test("CUPED plan, preSumDirect included, has no shuffle and no broadcast exchange") {
+    val bv = PreExperiment.bucketValuesSimple(d.exposeBsi, PreExperiment.preSumDirect(d.metricBsi, start, c))
+    assert(ScorecardSpec.exchanges(bv) == (0, 0))
   }
 
   test("CUPED on generated data: covariate is the same metric pre-period, variance drops") {
@@ -84,4 +71,29 @@ class PreExperimentSpec extends SparkSpec {
     assert(!r.pValue.isNaN && r.pValue >= 0 && r.pValue <= 1)
     assert(r.pValue > 0.001, s"A/A rejected under CUPED: $r")
   }
+}
+
+object PreExperimentSpec {
+  /** DuckDB pre-period bucket values over all exposed units: every metric with a
+    * pre-period row, crossed with every (strategy, bucket) that has an exposed unit.
+    */
+  def oracleSql(start: Int, c: Int): String =
+    s"""WITH pre AS (
+       |  SELECT metric_id, unit_id, SUM(CAST(value AS BIGINT)) AS s
+       |  FROM metric WHERE CAST(date AS INT) BETWEEN ${start - c} AND ${start - 1}
+       |  GROUP BY 1, 2),
+       |metrics AS (SELECT DISTINCT metric_id FROM pre),
+       |counts AS (
+       |  SELECT strategy_id, bucket_id, COUNT(*) AS exposed_cnt FROM expose GROUP BY 1, 2),
+       |sums AS (
+       |  SELECT e.strategy_id AS strategy_id, p.metric_id AS metric_id,
+       |         e.bucket_id AS bucket_id, SUM(p.s) AS s
+       |  FROM expose e JOIN pre p ON e.unit_id = p.unit_id
+       |  GROUP BY 1, 2, 3)
+       |SELECT c.strategy_id AS strategy_id, CAST(mt.metric_id AS INT) AS metric_id,
+       |       c.bucket_id AS bucket_id, COALESCE(s.s, 0) AS bucket_sum,
+       |       c.exposed_cnt AS exposed_cnt
+       |FROM counts c CROSS JOIN metrics mt
+       |LEFT JOIN sums s ON s.strategy_id = c.strategy_id AND s.metric_id = mt.metric_id
+       |                AND s.bucket_id = c.bucket_id""".stripMargin
 }

@@ -2,18 +2,20 @@ package repro.core
 
 import org.apache.logging.log4j.Level
 import org.apache.logging.log4j.core.config.Configurator
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
-import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
+import org.apache.spark.sql.execution.exchange.{BroadcastExchangeExec, ShuffleExchangeExec}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
+import repro.adhoc.AdhocEngine
+import repro.bsi.BSICodec
 
 /** Scorecard correctness (§4.2): the BSI pipeline must match both the
   * normal-format Spark SQL baseline and an independent DuckDB evaluation of
   * the same query over the normal logs.
   */
-class ScorecardSpec extends SparkSpec with AdaptiveSparkPlanHelper {
+class ScorecardSpec extends SparkSpec {
 
   private lazy val d = TestFixtures.data(spark)
   private val dates = Seq(3, 6) // day 3 is mid-rollout: the expose filter bites
@@ -54,13 +56,14 @@ class ScorecardSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     Oracle.assertEquivalent(bsi, oracleSql(dates), "expose" -> d.expose, "metric" -> d.metric)
   }
 
-  test("simple scorecard broadcasts the expose side and never shuffles the metric side") {
-    assert(spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1")
-    val bv = Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, dates)
-    bv.collect()
-    val plan = bv.queryExecution.executedPlan
-    assert(collect(plan) { case j: BroadcastHashJoinExec => j }.size == 1, plan)
-    assert(collect(plan) { case s: ShuffleExchangeExec => s }.isEmpty, plan)
+  test("simple scorecard plan has no shuffle and no broadcast exchange") {
+    assert(ScorecardSpec.exchanges(Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, dates)) == (0, 0))
+  }
+
+  test("bucketed scorecard plan has one exchange: the cross-segment merge") {
+    val eBsi = trueBuckets(TestFixtures.NSegments)._2.cache() // stored, as the scorers read it
+    try assert(ScorecardSpec.exchanges(Scorecard.bucketValuesBucketed(eBsi, d.metricBsi, dates, 8)) == (1, 0))
+    finally eBsi.unpersist()
   }
 
   test("normal-format Spark SQL baseline matches the DuckDB oracle") {
@@ -128,6 +131,41 @@ class ScorecardSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       Option(c.getMessage).exists(_.matches("(?s).*bucket id [678] outside 1\\.\\.5.*"))), causes.map(_.getMessage))
   }
 
+  test("a segment with no metric row keeps its exposed units in every scorer") {
+    // metric 1 loses its segment-0 rows on day 6 and on every pre-period day (1..4)
+    val seg0 = d.dict.where(col("segment_id") === 0).select("unit_id").collect().map(_.getLong(0))
+    val metric = d.metric.where(!(col("metric_id") === 1 && col("unit_id").isin(seg0.toIndexedSeq: _*) &&
+      (col("date") === 6 || col("date").between(1, 4)))).cache()
+    val mBsi = BsiConvert.metricLogToBsi(metric, d.dict).cache()
+    assert(mBsi.where(col("segment_id") === 0 && col("metric_id") === 1 && col("date").isin(1, 2, 3, 4, 6))
+      .isEmpty)
+    def cells(df: DataFrame) = df.select(Seq(col("strategy_id").cast("long"), col("metric_id").cast("int")) ++
+      (if (df.columns.contains("date")) Seq(col("date").cast("int")) else Nil) ++
+      Seq(col("bucket_id").cast("int"), col("bucket_sum").cast("long"), col("exposed_cnt").cast("long")): _*)
+    val simple = Scorecard.bucketValuesSimple(d.exposeBsi, mBsi, dates)
+    Oracle.assertEquivalent(cells(simple), oracleSql(dates), "expose" -> d.expose, "metric" -> metric)
+    for (nB <- Seq(TestFixtures.NSegments, 1024)) {
+      val (raw, eBsi) = trueBuckets(nB)
+      Oracle.assertEquivalent(cells(Scorecard.bucketValuesBucketed(eBsi, mBsi, dates, nB)), oracleSql(dates),
+        "expose" -> raw, "metric" -> metric)
+    }
+    val pre = PreExperiment.bucketValuesSimple(d.exposeBsi, PreExperiment.preSumDirect(mBsi, 5, 4))
+    Oracle.assertEquivalent(cells(pre), PreExperimentSpec.oracleSql(5, 4), "expose" -> d.expose, "metric" -> metric)
+
+    // the ad-hoc tier, loaded with the same BSIs, gives the same totals
+    val engine = new AdhocEngine(TestFixtures.NSegments, nThreads = 2)
+    d.exposeBsi.collect().foreach(r => engine.loadExposeBsi(r.getAs[Int]("segment_id"), r.getAs[Long]("strategy_id"),
+      r.getAs[Int]("min_expose_date"), BSICodec.deserialize(r.getAs[Array[Byte]]("offset_bsi"))))
+    mBsi.collect().foreach(r => engine.loadMetricBsi(r.getAs[Int]("segment_id"), r.getAs[Int]("metric_id"),
+      r.getAs[Int]("date"), BSICodec.deserialize(r.getAs[Array[Byte]]("value_bsi"))))
+    val totals = simple.groupBy("strategy_id", "metric_id", "date")
+      .agg(sum("bucket_sum").cast("long"), sum("exposed_cnt").cast("long")).collect()
+      .map(r => (r.getLong(0), r.getInt(1), r.getInt(2)) -> (r.getLong(3), r.getLong(4))).toMap
+    val adhoc = engine.queryBsi(TestFixtures.Strategies.map(_.strategyId), TestFixtures.Specs.map(_.metricId), dates)
+    assert(adhoc.map(c => (c.strategyId, c.metricId, c.date) -> (c.sum, c.exposedCnt)).toMap == totals)
+    Seq(mBsi, metric).foreach(_.unpersist())
+  }
+
   test("metricValues rolls buckets up to Σsum/Σcnt") {
     val bv = Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, Seq(6))
     val mv = Scorecard.metricValues(bv).collect()
@@ -162,5 +200,17 @@ class ScorecardSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       assert(r.pValue > 0.001,
         s"A/A rejected for strategy pair ${pair.map(_.strategyId)} metric ${spec.metricId}: $r")
     }
+  }
+}
+
+object ScorecardSpec {
+  /** Run `df` and count the (shuffle, broadcast) exchanges of its executed plan. */
+  def exchanges(df: DataFrame): (Int, Int) = {
+    assert(df.sparkSession.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1")
+    df.collect()
+    val plan = df.queryExecution.executedPlan
+    val helper = new AdaptiveSparkPlanHelper {}
+    (helper.collect(plan) { case s: ShuffleExchangeExec => s }.size,
+     helper.collect(plan) { case b: BroadcastExchangeExec => b }.size)
   }
 }
