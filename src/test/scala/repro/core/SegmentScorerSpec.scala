@@ -12,7 +12,7 @@ import repro.core.SegmentScorer.{Cell, Expose}
 class SegmentScorerSpec extends SparkSpec {
   import RefModel._
 
-  test("a scorer cell equals the bsi_cmp_const -> bsi_mul -> bsi_sum/count chain") {
+  test("scorer cell equals the UDF chain bsi_cmp_const -> bsi_mul -> bsi_sum") {
     BsiUdfs.register(spark)
     import spark.implicits._
     val rows = for (i <- 0 until 6; k <- Seq(-4L, 0L, 1L, 3L, Long.MaxValue)) yield {
