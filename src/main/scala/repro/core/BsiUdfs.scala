@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions.udaf
+import org.roaringbitmap.RoaringBitmap
 
 import repro.bsi.{BSI, BSIAggregates, BSIBuilder, BSICodec}
 
@@ -16,7 +17,7 @@ import repro.bsi.{BSI, BSIAggregates, BSIBuilder, BSICodec}
   *   - `bsi_build(pos, value)`           UDAF: rows → BSI, repeated positions summed
   *                                       (position encoding assumed done)
   *   - `bsi_sum_agg(b)`                  UDAF: sumBSI over a group
-  *   - `bsi_mul_agg(b)`                  UDAF: mulBSI over a group (dimension-filter conjunction)
+  *   - `bsi_mul_agg(b)`                  UDAF: mulBSI over a group
   *   - `bsi_max_agg(b)`                  UDAF: maxBSI over a group
   *   - `bsi_distinct_pos_agg(b)`         UDAF: distinctPos over a group
   *   - `bsi_add(a, b)`, `bsi_mul(a, b)`, `bsi_sub(a, b)`
@@ -65,7 +66,8 @@ object BsiUdfs {
     def outputEncoder: Encoder[Array[Byte]] = Encoders.BINARY
   }
 
-  private def cmpConst(a: BSI, op: String, k: Long) = op match {
+  /** `a op k`: the one table of the six constant comparisons, for `bsi_cmp_const` and [[DeepDive]]. */
+  private[core] def cmpConst(a: BSI, op: String, k: Long): RoaringBitmap = op match {
     case "<"  => a.ltConst(k)
     case "<=" => a.leConst(k)
     case ">"  => a.gtConst(k)
@@ -85,10 +87,10 @@ object BsiUdfs {
     case o    => throw new IllegalArgumentException(s"unknown comparison op: $o")
   }
 
-  /** Register every BSI UDF/UDAF on `spark` (idempotent — re-registration
-    * overwrites with identical definitions).
+  /** Register every BSI UDF/UDAF on `spark`, once per session: a later call
+    * finds `bsi_build` registered and returns.
     */
-  def register(spark: SparkSession): Unit = {
+  def register(spark: SparkSession): Unit = if (!spark.catalog.functionExists("bsi_build")) {
     spark.udf.register("bsi_build", udaf(new BuildAgg))
     spark.udf.register("bsi_sum_agg", udaf(new CombineAgg(BSIAggregates.sumBSI)))
     spark.udf.register("bsi_mul_agg", udaf(new CombineAgg(BSIAggregates.mulBSI)))

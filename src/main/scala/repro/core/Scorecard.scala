@@ -2,8 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.roaringbitmap.RoaringBitmap
 
-import repro.bsi.BSICodec
+import repro.bsi.{BSI, BSICodec}
 
 /** Scorecard computation on the BSI representation (§4.2). BSI tables are
   * stored by segment ([[BsiConvert]]), so a segment's expose and value BSIs
@@ -35,24 +36,35 @@ object Scorecard {
   /** [[SegmentScorer]] cells of each segment over every metric id of
     * `valueBsi`, read first by one narrow job: a task holding one segment cannot
     * see them. The outer join keeps the exposed units of a segment with no value row.
+    * A `cohort` (dimension BSI rows, and a segment's units from its dimension BSIs by name) joins by
+    * segment too: each offset BSI keeps only those units, and a segment whose cohort is `None` yields no cells.
     */
   private[core] def scored(exposeBsi: DataFrame, valueBsi: DataFrame, dates: Seq[Int], allExposed: Boolean,
-                           nBuckets: Option[Int]): DataFrame = {
+                           nBuckets: Option[Int],
+                           cohort: Option[(DataFrame, Map[String, BSI] => Option[RoaringBitmap])] = None)
+      : DataFrame = {
     val metricIds = valueBsi.select(col("metric_id").cast("int")).collect().map(_.getInt(0)).distinct.sorted.toSeq
     def bySegment(df: DataFrame, name: String, cols: String*) =
       df.groupBy("segment_id").agg(collect_list(struct(cols.map(col): _*)).as(name))
     val de = BSICodec.deserialize _
-    val score = udf { (segment: Int, es: Seq[Row], vs: Seq[Row]) =>
+    val inCohort = cohort.map(_._2)
+    val score = udf { (segment: Int, es: Seq[Row], vs: Seq[Row], ds: Seq[Row]) =>
       val values = Option(vs).getOrElse(Nil).map(r => (r.getInt(0), r.getInt(1)) -> de(r.getAs[Array[Byte]](2))).toMap
-      val exposes = es.map(r => SegmentScorer.Expose(r.getLong(0), r.getInt(1), de(r.getAs[Array[Byte]](2)),
-                                                     nBuckets.map(_ => de(r.getAs[Array[Byte]](3)))))
+      val units = inCohort.map(_(ds.map(r => r.getString(0) -> de(r.getAs[Array[Byte]](1))).toMap))
+      val exposes = if (units.contains(None)) Nil else es.map { r =>
+        val offset = de(r.getAs[Array[Byte]](2))
+        SegmentScorer.Expose(r.getLong(0), r.getInt(1), units.flatten.fold(offset)(offset.andBinary),
+                             nBuckets.map(_ => de(r.getAs[Array[Byte]](3))))
+      }
       SegmentScorer.score(segment, exposes, (m, d) => values.get((m, d)), metricIds, dates, allExposed).map { c =>
         // ids start at 1 by construction: bucket 0 would be absent from the BSI
         nBuckets.foreach(n => require(c.bucketId <= n, s"bucket id ${c.bucketId} outside 1..$n")); c }
     }
-    bySegment(exposeBsi, "e", "strategy_id", "min_expose_date", "offset_bsi", "bucket_bsi")
+    val segments = bySegment(exposeBsi, "e", "strategy_id", "min_expose_date", "offset_bsi", "bucket_bsi")
       .join(bySegment(valueBsi, "v", "metric_id", "date", "value_bsi"), Seq("segment_id"), "left_outer")
-      .select(explode(score(col("segment_id"), col("e"), col("v"))).as("c")).select("c.*")
+    cohort.fold(segments.withColumn("d", lit(null)))(c =>
+        segments.join(bySegment(c._1, "d", "dim_name", "value_bsi"), "segment_id"))
+      .select(explode(score(col("segment_id"), col("e"), col("v"), col("d"))).as("c")).select("c.*")
       .toDF("strategy_id", "metric_id", "date", "bucket_id", "bucket_sum", "exposed_cnt")
   }
 

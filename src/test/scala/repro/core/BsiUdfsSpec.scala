@@ -60,7 +60,7 @@ class BsiUdfsSpec extends SparkSpec {
     assert(bsiToRef(dp) == refs.map(_.keySet).reduce(_ ++ _).map(_ -> 1L).toMap)
   }
 
-  test("bsi_mul_agg conjoins binary filters (deep-dive path)") {
+  test("bsi_mul_agg conjoins binary filters") {
     _reg
     import spark.implicits._
     val f1 = Set(1, 2, 3, 4)
